@@ -43,6 +43,8 @@ from .network import (
     HiddenNeuron,
     Network,
     OutputTap,
+    PiecewiseNetwork,
+    compile_network,
     forward,
     forward_grid,
     load_model,

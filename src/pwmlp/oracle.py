@@ -319,7 +319,12 @@ def dense_solve_coupling(samples):
     construction side.
     """
     n = samples.grid.n
-    m = np.eye(n + 1) + 0.5 * (np.eye(n + 1, k=1) + np.eye(n + 1, k=-1))
+    # Filled in place, so the matrix is the only (n+1)^2 array besides
+    # the solver's own copy.
+    m = np.zeros((n + 1, n + 1))
+    np.fill_diagonal(m, 1.0)
+    np.fill_diagonal(m[1:], 0.5)
+    np.fill_diagonal(m[:, 1:], 0.5)
     try:
         g = np.linalg.solve(m, samples.values)
     except np.linalg.LinAlgError as exc:

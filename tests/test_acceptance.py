@@ -54,9 +54,13 @@ def _samples(target_name, n):
 
 def test_criterion_01_network_oracle_equivalence(report):
     # every constructed network must agree with its reference model to
-    # 1e-9 * max(1, |f|_inf) on a 10001-point grid
+    # 1e-9 * max(1, |f|_inf) on a 10001-point grid, both as
+    # verify_equivalence measures it and on the network's own forward
+    # pass
     worst = (0.0, "")
+    worst_forward = 0.0
     cases = 0
+    xs = np.linspace(0.0, 1.0, 10001)
     for name in ("affine", "sin2pi", "runge"):
         scale = max(1.0, get_target(name).sup_abs)
         for n in (8, 16, 32, 64):
@@ -74,8 +78,16 @@ def test_criterion_01_network_oracle_equivalence(report):
                     "%s on %s at n=%d deviates %.3e (tol %.1e)"
                     % (method, name, n, res.max_deviation, res.tol)
                 )
+                dev = float(np.max(np.abs(forward_grid(net, xs)
+                                          - eval_oracle_grid(model, xs))))
+                worst_forward = max(worst_forward, dev)
+                assert dev <= 1e-9 * scale, (
+                    "%s on %s at n=%d: forward_grid deviates %.3e"
+                    % (method, name, n, dev)
+                )
     report("PASS criterion 1: %d equivalence cases, worst deviation "
-           "%.3e (%s)" % (cases, worst[0], worst[1]))
+           "%.3e (%s), forward_grid %.3e"
+           % (cases, worst[0], worst[1], worst_forward))
 
 
 def test_criterion_02_convergence_orders(report):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwmlp import (
+    METHODS,
     Activation,
     DomainError,
     FormatError,
@@ -17,9 +18,12 @@ from pwmlp import (
     UsageError,
     activation_values,
     build_network,
+    compile_network,
+    eval_oracle_grid,
     forward,
     forward_grid,
     load_model,
+    matching_oracle,
     save_model,
 )
 
@@ -71,6 +75,16 @@ def test_forward_grid_shape_and_validation():
         forward_grid(net, np.array([0.5, np.nan]))
     with pytest.raises(DomainError):
         forward(net, float("inf"))
+    compiled = compile_network(net)
+    assert compiled.eval(np.linspace(0.0, 1.0, 11)).shape == (11, 3)
+    for bad, error in (
+        (np.zeros((2, 2)), UsageError),
+        (np.array([]), UsageError),
+        (np.array([0.5, np.nan]), DomainError),
+        (np.array([np.inf]), DomainError),
+    ):
+        with pytest.raises(error):
+            compiled.eval(bad)
 
 
 def test_neuron_order_is_immaterial():
@@ -132,6 +146,108 @@ def test_network_validation():
         OutputTap((1.0, float("inf")), 0.0)
     with pytest.raises(UsageError):
         OutputTap((1.0,), float("nan"))
+
+
+@pytest.mark.parametrize("n", (8, 64, 512, 4096))
+@pytest.mark.parametrize("method", METHODS)
+def test_compiled_matches_dense_and_oracle(method, n):
+    # the prove workload's sizes; at N = 512 a second, rough column
+    grid = KnotGrid.uniform(n)
+    x = grid.knots
+    values = np.sin(2.0 * np.pi * x) + 0.5 * np.cos(6.0 * x)
+    if n == 512:
+        noise = np.random.default_rng(41).uniform(-1.0, 1.0, n + 1)
+        values = np.column_stack([values, noise])
+    samples = TargetSamples(grid, values)
+    net = build_network(method, samples)
+    xs = np.linspace(0.0, 1.0, 2001 if n == 4096 else 10001)
+    compiled = compile_network(net).eval(xs)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    assert compiled.shape == (xs.size, samples.q)
+    dense_dev = np.max(np.abs(compiled - forward_grid(net, xs)))
+    assert dense_dev <= tol
+    model = matching_oracle(method, samples)
+    oracle_dev = np.max(np.abs(compiled - eval_oracle_grid(model, xs)))
+    assert oracle_dev <= tol
+
+
+def _general_network(rng, width, q):
+    """All four kinds, cubic slopes 0, 0.5 and 0.75, and weights of both
+    signs with about one in eight exactly zero."""
+    kinds = (
+        Activation.step(),
+        Activation.relu(),
+        Activation.ramp(),
+        Activation.cubic(0.0),
+        Activation.cubic(0.5),
+        Activation.cubic(0.75),
+    )
+    weights = rng.uniform(-4.0, 4.0, width)
+    weights[rng.random(width) < 0.125] = 0.0
+    neurons = tuple(
+        HiddenNeuron(float(w), float(rng.uniform(-2.0, 2.0)),
+                     kinds[int(rng.integers(len(kinds)))])
+        for w in weights
+    )
+    outputs = tuple(
+        OutputTap(tuple(float(c) for c in rng.uniform(-3.0, 3.0, width)),
+                  float(rng.uniform(-1.0, 1.0)))
+        for _ in range(q)
+    )
+    return Network(neurons, outputs, "constant", 1)
+
+
+_LEVELS = {"step": (0.0,), "relu": (0.0,), "ramp": (0.0, 1.0),
+           "cubic": (-1.0, 1.0)}
+
+
+def _probe_points(rng, net):
+    """Uniform points in [-2, 3], every unit's thresholds and their
+    neighbouring doubles, and +-1e6."""
+    thresholds = [
+        (z - u.bias) / u.weight
+        for u in net.neurons if u.weight != 0.0
+        for z in _LEVELS[u.activation.kind]
+    ]
+    t = np.asarray(thresholds, dtype=np.float64)
+    return np.concatenate([
+        rng.uniform(-2.0, 3.0, 500), t, np.nextafter(t, -np.inf),
+        np.nextafter(t, np.inf), [-1e6, 1e6],
+    ])
+
+
+def test_compiled_matches_dense_on_general_networks():
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for _ in range(40):
+        net = _general_network(rng, int(rng.integers(1, 41)),
+                               int(rng.integers(1, 4)))
+        xs = _probe_points(rng, net)
+        dev = np.abs(compile_network(net).eval(xs) - forward_grid(net, xs))
+        w = np.array([u.weight for u in net.neurons])
+        b = np.array([u.bias for u in net.neurons])
+        c = np.abs(np.array([tap.weights for tap in net.outputs]))
+        size = 1.0 + np.abs(np.multiply.outer(xs, w)) + np.abs(b)
+        scale = 1.0 + size @ c.T
+        worst = max(worst, float(np.max(dev / scale)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", (7, 10, 49, 100, 333, 1000, 3000, 4096))
+def test_compiled_steps_switch_where_forward_grid_does(n):
+    # -b/w alone puts some step breaks a few ulps on the wrong side of
+    # a knot, which moves the value there by a whole sample difference
+    grid = KnotGrid.uniform(n)
+    values = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    net = build_network("constant", TargetSamples(grid, values))
+    assert np.array_equal(compile_network(net).eval(grid.knots),
+                          forward_grid(net, grid.knots))
+
+
+def test_compiled_form_is_read_only():
+    compiled = compile_network(_random_network(np.random.default_rng(47)))
+    for arr in (compiled.breaks, compiled.anchors, compiled.coeffs):
+        assert not arr.flags.writeable
 
 
 def _built(method="cubic", n=8):
