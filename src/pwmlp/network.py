@@ -27,7 +27,7 @@ from .activations import (
     activation_values,
     eval_activation,
 )
-from .errors import DomainError, FormatError, UsageError
+from .errors import DomainError, FormatError, NumericalError, UsageError
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,83 @@ def _evaluation_grid(grid):
     return xs
 
 
+# Values per (points x neurons) tile of forward_grid.  Each of its few
+# work buffers holds one tile, so a call's working set stays near 1 MB
+# whatever the grid and the width.
+_TILE = 2**13
+_SIDE = math.isqrt(_TILE)
+
+
+def _neuron_arrays(net):
+    """The network's parameters as arrays: input weights w and biases b
+    (width,), tap weights (width, q), tap biases (q,), the distinct
+    activations, and each neuron's index into them."""
+    w = np.array([u.weight for u in net.neurons])
+    b = np.array([u.bias for u in net.neurons])
+    taps = np.array([tap.weights for tap in net.outputs]).T
+    tap_bias = np.array([tap.bias for tap in net.outputs])
+    # Keyed by the fields: hashing them as a tuple costs a third of
+    # hashing the Activation.
+    index = {}
+    group = np.array([
+        index.setdefault((u.activation.kind, u.activation.cubic_coeffs),
+                         len(index))
+        for u in net.neurons
+    ])
+    return w, b, taps, tap_bias, [Activation(*key) for key in index], group
+
+
+def _tile_activations(acts, members, z, start):
+    """Activations of the neurons start, start+1, ... on the columns of
+    the tile z: one activation_values call per activation present."""
+    stop = start + z.shape[1]
+    out = None
+    for act, idx in zip(acts, members):
+        lo, hi = np.searchsorted(idx, (start, stop))
+        if hi - lo == z.shape[1]:
+            return activation_values(act, z)
+        if lo < hi:
+            if out is None:
+                out = np.empty_like(z)
+            cols = idx[lo:hi] - start
+            out[:, cols] = activation_values(act, z[:, cols])
+    return out
+
+
+def _neumaier_tile(a, c, total, comp, bufs):
+    """Add c[j] * a[:, j] for each column j in order to the running
+    Neumaier sums total (one per row) and their compensation comp, in
+    place.
+
+    The running sums are one sequential cumsum along each row, seeded
+    with total; the exact rounding error of each addition (branch-free
+    TwoSum, equal to Neumaier's branch) is summed by a second cumsum
+    seeded with comp.  Both add in the order of a loop over the
+    columns, so the result is that loop's, bit for bit.
+    """
+    p, n = a.shape
+    size = p * (n + 1)
+    v, s, e = (buf[:size] for buf in bufs[:3])
+    rows_v, rows_s, rows_e = (x.reshape(p, n + 1) for x in (v, s, e))
+    rows_v[:, 0] = total
+    np.multiply(a, c, out=rows_v[:, 1:])
+    np.cumsum(rows_v, axis=1, out=rows_s)
+    # TwoSum over the flat buffers, s[i] = s[i-1] + v[i]:
+    # err = (prev - (tot - back)) + (add - back), back = tot - prev.
+    # The entry at the start of each row pairs two rows; the seed
+    # overwrites it.
+    prev, tot, add, err = s[:-1], s[1:], v[1:], e[1:]
+    np.subtract(tot, prev, out=err)
+    np.subtract(add, err, out=add)
+    np.subtract(tot, err, out=err)
+    np.subtract(prev, err, out=err)
+    np.add(err, add, out=err)
+    rows_e[:, 0] = comp
+    np.cumsum(rows_e, axis=1, out=rows_v)
+    total[:] = rows_s[:, -1]
+    comp[:] = rows_v[:, -1]
+
+
 def forward_grid(net, grid):
     """Evaluate the network on a 1-D grid; returns a (len(grid), q) array.
 
@@ -100,26 +177,52 @@ def forward_grid(net, grid):
     point, at O(len(grid) * width) cost.  compile_network gives the same
     function as a piecewise cubic for repeated evaluation.
 
+    Each output is the tap bias plus the tap-weighted activations added
+    in neuron order with a Neumaier-compensated accumulator.  The work
+    runs over (points x neurons) tiles of at most _TILE values: the
+    running sums and their compensation are carried from one neuron
+    tile to the next, and each tile adds in the same order as a loop
+    over its neurons, so the result is that loop's bit for bit.  Memory
+    stays O(_TILE) beyond the parameters and the result, whatever the
+    grid and the width.
+
     Row i equals forward(net, grid[i]) bit for bit: the scalar entry
     point delegates here, and every lane of the vectorized arithmetic is
     an independent IEEE double operation.
+
+    Raises NumericalError, naming the first such x, when an output is
+    not finite (an overflow of the network's own arithmetic).
     """
     xs = _evaluation_grid(grid)
-    q = net.out_dim
-    total = np.empty((q, xs.size), dtype=np.float64)
-    comp = np.zeros((q, xs.size), dtype=np.float64)
-    for k, tap in enumerate(net.outputs):
-        total[k, :] = tap.bias
-    for j, neuron in enumerate(net.neurons):
-        a = activation_values(neuron.activation, neuron.weight * xs + neuron.bias)
-        for k, tap in enumerate(net.outputs):
-            v = tap.weights[j] * a
-            s = total[k]
-            t = s + v
-            # Neumaier update: track the rounding error of each addition.
-            comp[k] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
-            total[k] = t
-    return (total + comp).T
+    w, b, taps, tap_bias, acts, group = _neuron_arrays(net)
+    width, q = taps.shape
+    members = [np.flatnonzero(group == g) for g in range(len(acts))]
+    # A few points get rows of up to _TILE neurons; many get square
+    # tiles, so neither side of a tile shrinks to a handful of values.
+    cols = min(width, max(_TILE // xs.size, _SIDE))
+    rows = min(xs.size, _TILE // cols)
+    bufs = np.empty((4, rows * (cols + 1)))
+    out = np.empty((q, xs.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, xs.size, rows):
+            x = xs[i:i + rows, None]
+            total = np.repeat(tap_bias[:, None], x.size, axis=1)
+            comp = np.zeros_like(total)
+            for j in range(0, width, cols):
+                n = min(cols, width - j)
+                z = bufs[3][:x.size * n].reshape(x.size, n)
+                np.multiply(x, w[j:j + cols], out=z)
+                np.add(z, b[j:j + cols], out=z)
+                a = _tile_activations(acts, members, z, j)
+                for k in range(q):
+                    _neumaier_tile(a, taps[j:j + cols, k], total[k], comp[k],
+                                   bufs)
+            np.add(total, comp, out=out[:, i:i + rows])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NumericalError("network output is not finite at x=%r"
+                             % float(xs[bad.any(axis=0).argmax()]))
+    return out.T
 
 
 def forward(net, x):
@@ -218,16 +321,14 @@ def compile_network(net):
     Costs O(width log width) once; PiecewiseNetwork.eval then costs
     O(len(grid) log width) instead of forward_grid's O(len(grid) * width).
     """
-    w = np.array([u.weight for u in net.neurons])
-    b = np.array([u.bias for u in net.neurons])
-    kind = np.array([u.activation.kind for u in net.neurons])
-    taps = np.array([tap.weights for tap in net.outputs]).T
+    w, b, taps, tap_bias, acts, group = _neuron_arrays(net)
+    kind = np.array([act.kind for act in acts])[group]
     q = net.out_dim
 
     # Global parts: (position, change of level, change of slope) events;
     # position -inf means present from the left.
     pos = [np.full(1, -np.inf)]
-    level = [np.array([[tap.bias for tap in net.outputs]])]
+    level = [tap_bias[None, :]]
     slope = [np.zeros((1, q))]
 
     def add(x, dlevel, dslope):
@@ -245,8 +346,8 @@ def compile_network(net):
 
     flat = w == 0.0
     if flat.any():
-        const = [eval_activation(u.activation, u.bias)
-                 for u, f in zip(net.neurons, flat) if f]
+        const = [eval_activation(acts[g], v)
+                 for g, v in zip(group[flat], b[flat])]
         add(np.full(len(const), -np.inf),
             np.array(const)[:, None] * taps[flat], np.zeros((len(const), q)))
 
@@ -273,10 +374,8 @@ def compile_network(net):
     with np.errstate(over="ignore"):
         lo = (zlo - b[units]) / w[units]
     ends = np.sort(np.column_stack([lo, hi[units]]), axis=1)
-    poly = np.array([
-        net.neurons[j].activation.cubic_coeffs or (0.0, 1.0, 0.0, 0.0)
-        for j in units
-    ]).reshape(-1, 4)
+    poly = np.array([act.cubic_coeffs or (0.0, 1.0, 0.0, 0.0)
+                     for act in acts])[group[units]]
 
     pos = np.concatenate(pos)
     order = np.argsort(pos, kind="stable")

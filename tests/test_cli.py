@@ -134,6 +134,25 @@ def test_eval_rejects_tampered_model(tmp_path, capsys):
     assert "outputs[0].weights" in err
 
 
+def test_eval_overflowing_model_exits_4_without_output(tmp_path, capsys):
+    # one relu unit whose tap product overflows: the output is not a
+    # number, which must end in exit 4, not in "0.5,nan" and exit 0
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps({
+        "method": "linear-relu", "n": 1, "knots": {"n": 1},
+        "neurons": [{"weight": 1e300, "bias": 0.0,
+                     "activation": {"kind": "relu"}}],
+        "outputs": [{"weights": [1e300], "bias": 0.0}],
+    }))
+    out_path = tmp_path / "vals.csv"
+    code, out, err = run(capsys, "eval", str(model_path), "--grid", "0.5",
+                         "--out", str(out_path))
+    assert code == 4 and "x=0.5" in err
+    assert out == "" and not out_path.exists()
+    code, out, _ = run(capsys, "eval", str(model_path), "--grid", "0.5")
+    assert code == 4 and out == ""
+
+
 def test_verify_pass_and_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--method", "linear-relu",
                        "--n", "32", "--target", "sin2pi")

@@ -1,6 +1,8 @@
 """Unit tests for network evaluation and JSON serialization."""
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pwmlp import (
     HiddenNeuron,
     KnotGrid,
     Network,
+    NumericalError,
     OutputTap,
     TargetSamples,
     UsageError,
@@ -26,6 +29,7 @@ from pwmlp import (
     matching_oracle,
     save_model,
 )
+from pwmlp.network import _SIDE, _TILE
 
 
 def _random_network(rng, width=12, q=2):
@@ -51,6 +55,26 @@ def _random_network(rng, width=12, q=2):
         for _ in range(q)
     )
     return Network(neurons, outputs, "constant", 1)
+
+
+def _forward_grid_loop(net, grid):
+    """The reference forward pass: a loop over neurons, each added to
+    every output with Neumaier's compensated update."""
+    xs = np.asarray(grid, dtype=np.float64)
+    q = net.out_dim
+    total = np.empty((q, xs.size), dtype=np.float64)
+    comp = np.zeros((q, xs.size), dtype=np.float64)
+    for k, tap in enumerate(net.outputs):
+        total[k, :] = tap.bias
+    for j, neuron in enumerate(net.neurons):
+        a = activation_values(neuron.activation, neuron.weight * xs + neuron.bias)
+        for k, tap in enumerate(net.outputs):
+            v = tap.weights[j] * a
+            s = total[k]
+            t = s + v
+            comp[k] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
+            total[k] = t
+    return (total + comp).T
 
 
 def test_forward_delegates_to_forward_grid_bitwise():
@@ -214,6 +238,77 @@ def _probe_points(rng, net):
         rng.uniform(-2.0, 3.0, 500), t, np.nextafter(t, -np.inf),
         np.nextafter(t, np.inf), [-1e6, 1e6],
     ])
+
+
+def _reference_grid(rng, net, size):
+    """size points taken in a cycle from +-0.0, +-1e6 and the probe
+    points of net (thresholds, their neighbours, uniform points),
+    starting at a random place."""
+    pool = np.concatenate([[0.0, -0.0, 1e6, -1e6],
+                           rng.permutation(_probe_points(rng, net))])
+    start = int(rng.integers(pool.size))
+    return np.take(pool, np.arange(start, start + size), mode="wrap")
+
+
+# (width, grid size) pairs around the tile's sides: neuron tiles are
+# _SIDE wide once a grid has _SIDE points or more, and up to _TILE wide
+# for one point.
+_TILE_CASES = (
+    [(w, g) for w in (1, _SIDE - 1, _SIDE, _SIDE + 1, 3 * _SIDE + 5)
+     for g in (1, 2, _SIDE - 1, _SIDE + 1, _TILE + 1)]
+    + [(w, 1) for w in (_TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5)]
+    + [(3 * _TILE + 5, 3)]
+)
+
+
+@pytest.mark.parametrize("width,size", _TILE_CASES)
+def test_forward_grid_equals_neuron_loop_bitwise(width, size):
+    rng = np.random.default_rng(width * 100003 + size)
+    net = _general_network(rng, width, int(rng.integers(1, 4)))
+    xs = _reference_grid(rng, net, size)
+    assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
+
+
+@pytest.mark.parametrize("n", (8, 64, 512, 4096))
+@pytest.mark.parametrize("method", METHODS)
+def test_forward_grid_equals_neuron_loop_for_every_method(method, n):
+    grid = KnotGrid.uniform(n)
+    samples = TargetSamples.from_function(grid, lambda x: np.sin(7.0 * x))
+    net = build_network(method, samples)
+    xs = np.concatenate([grid.knots[::max(1, n // 512)], [0.0, -0.0, 1e6, -1e6],
+                         np.random.default_rng(n).uniform(-0.5, 1.5, 300)])
+    assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
+
+
+def test_forward_grid_memory_stays_within_tiles():
+    # the whole (points x neurons) matrix would be 16388 * 2001 * 8 bytes
+    # = 262 MB; the tiles keep the working set near 1 MB
+    grid = KnotGrid.uniform(4096)
+    net = build_network("linear-relu",
+                        TargetSamples.from_function(grid, np.sin))
+    xs = np.linspace(0.0, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        forward_grid(net, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_forward_grid_raises_on_non_finite_output():
+    relu = HiddenNeuron(1e300, 0.0, Activation.relu())
+    step = HiddenNeuron(1e300, 0.0, Activation.step())
+    net = Network((relu, step), (OutputTap((1e300, 1.0), 0.0),), "constant", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="x=0.25"):
+            forward_grid(net, np.array([-1.0, 0.25, 0.5]))
+        with pytest.raises(NumericalError):
+            forward(net, 0.5)
+        # w*x overflows inside a step unit, whose output stays finite
+        ok = Network((step,), (OutputTap((2.0,), 0.5),), "constant", 1)
+        assert forward_grid(ok, np.array([-1e6, 1e6])).tolist() == [[0.5], [2.5]]
 
 
 def test_compiled_matches_dense_on_general_networks():
