@@ -23,11 +23,6 @@ from .builders import (
     METHODS,
     CouplingSolution,
     build_network,
-    build_piecewise_constant,
-    build_piecewise_cubic_coupled,
-    build_piecewise_cubic_spaced,
-    build_piecewise_linear_ramp,
-    build_piecewise_linear_relu,
     solve_bump_coupling,
     thomas_solve,
 )
@@ -40,9 +35,7 @@ from .errors import (
 )
 from .grids import KnotGrid, TargetSamples
 from .network import (
-    HiddenNeuron,
     Network,
-    OutputTap,
     PiecewiseNetwork,
     compile_network,
     forward,

@@ -1,10 +1,10 @@
 """Feedforward construction of networks realizing piecewise models.
 
-Each builder places hidden neurons at knot-determined positions and
-reads the output weights directly off the target samples, so the
-resulting network IS the corresponding kernel-sum approximant, not a
-trained imitation of it.  With h = 1/N and inv = N, every design uses
-unit responses of the form
+Each construction places groups of hidden units at knot-determined
+positions and reads the output taps directly off the target samples,
+so the resulting network IS the corresponding kernel-sum approximant,
+not a trained imitation of it.  With h = 1/N and inv = N, every unit
+has one of two responses
 
     rising at knot x_j:   z = inv * x - inv * x_j
     falling at knot x_j:  z = inv * x_j - inv * x
@@ -13,30 +13,36 @@ Boundary knots reference the virtual positions x_{-1} = -h and
 x_{N+1} = 1 + h; those lie outside [0, 1], which is harmless because
 equivalence with the reference models is only claimed on [0, 1].
 
-Constructions:
-  constant      N step neurons; telescoped tap weights f(x_j) - f(x_{j-1}).
-  linear-relu   4 ReLU neurons per knot summing to f(x_j) * (triangle + 1),
-                rebalanced by a bias contribution of -f(x_j).
-  linear-ramp   2 ramp neurons per knot realizing the same triangle.
-  cubic         2 cubic neurons per knot forming a unit bump; bump
-                weights g(x_j) solve the tridiagonal coupling system
+The five methods differ only in the activation, the knots that carry
+a group with their tap values c_j, and the units of a group (_DESIGNS):
+
+  constant      a step rising at x_j for j < N; c_j = f_j - f_{j-1}
+                (telescoped, f_{-1} = 0).
+  linear-relu   per knot four ReLUs rising at x_{j-1} and x_j and
+                falling at x_{j+1} and x_j, with taps (c, -c, c, -c):
+                their sum is c_j * (triangle + 1); c_j = f_j.
+  linear-ramp   per knot a ramp rising at x_{j-1} plus one falling at
+                x_{j+1}, taps (c, c): again c_j * (triangle + 1).
+  cubic         the same pair with the monotone cubic, a unit bump plus
+                1; c_j = g_j solves the tridiagonal coupling system
                 g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j, since adjacent
                 bumps overlap with value 0.5 at distance h.
   cubic-spaced  bumps only at even knots (no overlap at the knots, so
-                no coupling solve); N must be even.
+                no coupling solve), c_j = f_j; N must be even.
+
+Where a group sums to c_j * (kernel + 1), the tap bias removes the
+shift: the exactly rounded sum of -c_j / len(group) over every unit.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import DEFAULT_SLOPE, Activation
+from .activations import CUBIC, DEFAULT_SLOPE, RAMP, RELU, STEP, Activation
 from .errors import NumericalError, UsageError
-from .grids import KnotGrid, TargetSamples
-from .network import HiddenNeuron, Network, OutputTap
-
-METHODS = ("constant", "linear-relu", "linear-ramp", "cubic", "cubic-spaced")
+from .network import Network
 
 
 def thomas_solve(lower, diag, upper, rhs):
@@ -86,7 +92,8 @@ def solve_bump_coupling(samples):
 
     The matrix (unit diagonal, 0.5 off-diagonals) is symmetric positive
     definite for every N -- its eigenvalues are 1 + cos(k pi / (N+2)) > 0
-    -- so the unpivoted Thomas sweep cannot break down.
+    -- so the unpivoted Thomas sweep cannot break down.  It can still
+    overflow on huge rough data; a non-finite residual fails the check.
     """
     f = samples.values
     m, q = f.shape
@@ -94,172 +101,88 @@ def solve_bump_coupling(samples):
     diag = np.ones(m)
     upper = np.full(m, 0.5)
     g = np.empty((m, q))
-    for k in range(q):
-        g[:, k] = thomas_solve(lower, diag, upper, f[:, k])
-
-    overlap = g.copy()
-    overlap[:-1] += 0.5 * g[1:]
-    overlap[1:] += 0.5 * g[:-1]
-    residual_max = float(np.max(np.abs(overlap - f)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(q):
+            g[:, k] = thomas_solve(lower, diag, upper, f[:, k])
+        overlap = g.copy()
+        overlap[:-1] += 0.5 * g[1:]
+        overlap[1:] += 0.5 * g[:-1]
+        residual_max = float(np.max(np.abs(overlap - f)))
     scale = max(1.0, float(np.max(np.abs(f))))
-    if residual_max > 1e-10 * scale:
+    if not residual_max <= 1e-10 * scale:
         raise NumericalError(
             "coupling residual %.3e exceeds tolerance" % residual_max
         )
     return CouplingSolution(g=g, residual_max=residual_max)
 
 
-def _virtual_neighbors(grid, j):
-    """Knot positions x_{j-1} and x_{j+1}, extended past the boundary."""
-    knots = grid.knots
-    xm = knots[j - 1] if j >= 1 else -grid.h
-    xp = knots[j + 1] if j + 1 <= grid.n else 1.0 + grid.h
-    return xm, xp
-
-
-def build_piecewise_constant(samples):
-    """N step neurons whose telescoped taps sum to f(x_j) on [x_j, x_{j+1})."""
-    grid = samples.grid
-    n = grid.n
-    inv = float(n)
-    step = Activation.step()
-    neurons = tuple(
-        HiddenNeuron(inv, -(inv * grid.knots[j]), step) for j in range(n)
-    )
+def _telescoped(samples):
     f = samples.values
-    outputs = []
-    for k in range(f.shape[1]):
-        weights = tuple(
-            float(f[j, k]) - (float(f[j - 1, k]) if j > 0 else 0.0)
-            for j in range(n)
-        )
-        outputs.append(OutputTap(weights, 0.0))
-    return Network(neurons, tuple(outputs), "constant", n)
+    return np.arange(samples.grid.n), np.diff(f[:-1], axis=0, prepend=0.0)
 
 
-def build_piecewise_linear_relu(samples):
-    """Four ReLU neurons per knot; their sum is f(x_j) * (triangle + 1).
-
-    Per knot j the group is
-        + r(inv x - inv x_{j-1}) - r(inv x - inv x_j)
-        + r(inv x_{j+1} - inv x) - r(inv x_j - inv x)
-    which evaluates to t_j(x) + 1 everywhere, so a bias contribution of
-    -f(x_j) (spread as four quarters) removes the constant shift.
-    """
-    grid = samples.grid
-    n = grid.n
-    inv = float(n)
-    relu = Activation.relu()
-    neurons = []
-    for j in range(n + 1):
-        xm, xp = _virtual_neighbors(grid, j)
-        xj = grid.knots[j]
-        neurons.append(HiddenNeuron(inv, -(inv * xm), relu))
-        neurons.append(HiddenNeuron(inv, -(inv * xj), relu))
-        neurons.append(HiddenNeuron(-inv, inv * xp, relu))
-        neurons.append(HiddenNeuron(-inv, inv * xj, relu))
-    f = samples.values
-    outputs = []
-    for k in range(f.shape[1]):
-        weights = []
-        bias_terms = []
-        for j in range(n + 1):
-            fj = float(f[j, k])
-            weights.extend((fj, -fj, fj, -fj))
-            bias_terms.extend((-0.25 * fj,) * 4)
-        outputs.append(OutputTap(tuple(weights), math.fsum(bias_terms)))
-    return Network(tuple(neurons), tuple(outputs), "linear-relu", n)
+def _every_knot(samples):
+    return np.arange(samples.grid.n + 1), samples.values
 
 
-def build_piecewise_linear_ramp(samples):
-    """Two ramp neurons per knot; rising at x_{j-1} plus falling at x_{j+1}
-    equals t_j(x) + 1, so the bias contribution is again -f(x_j)."""
-    grid = samples.grid
-    n = grid.n
-    inv = float(n)
-    ramp = Activation.ramp()
-    neurons = []
-    for j in range(n + 1):
-        xm, xp = _virtual_neighbors(grid, j)
-        neurons.append(HiddenNeuron(inv, -(inv * xm), ramp))
-        neurons.append(HiddenNeuron(-inv, inv * xp, ramp))
-    f = samples.values
-    outputs = []
-    for k in range(f.shape[1]):
-        weights = []
-        bias_terms = []
-        for j in range(n + 1):
-            fj = float(f[j, k])
-            weights.extend((fj, fj))
-            bias_terms.extend((-0.5 * fj,) * 2)
-        outputs.append(OutputTap(tuple(weights), math.fsum(bias_terms)))
-    return Network(tuple(neurons), tuple(outputs), "linear-ramp", n)
+def _coupled(samples):
+    return np.arange(samples.grid.n + 1), solve_bump_coupling(samples).g
 
 
-def build_piecewise_cubic_coupled(samples, inflection_slope=DEFAULT_SLOPE):
-    """Two cubic neurons per knot forming a unit bump, weighted by the
-    coupling solution g so the network interpolates f at every knot."""
-    act = Activation.cubic(inflection_slope)
-    grid = samples.grid
-    n = grid.n
-    inv = float(n)
-    neurons = []
-    for j in range(n + 1):
-        xm, xp = _virtual_neighbors(grid, j)
-        neurons.append(HiddenNeuron(inv, -(inv * xm), act))
-        neurons.append(HiddenNeuron(-inv, inv * xp, act))
-    g = solve_bump_coupling(samples).g
-    outputs = []
-    for k in range(g.shape[1]):
-        weights = []
-        bias_terms = []
-        for j in range(n + 1):
-            gj = float(g[j, k])
-            weights.extend((gj, gj))
-            bias_terms.extend((-0.5 * gj,) * 2)
-        outputs.append(OutputTap(tuple(weights), math.fsum(bias_terms)))
-    return Network(tuple(neurons), tuple(outputs), "cubic", n)
-
-
-def build_piecewise_cubic_spaced(samples, inflection_slope=DEFAULT_SLOPE):
-    """Bumps only at even knots, spacing 2h, so the bumps do not overlap
-    at the knots and the tap weights are the samples themselves.  At an
-    odd knot the two flanking bumps each contribute half, so the value
-    there is the average 0.5 (f(x_{j-1}) + f(x_{j+1}))."""
-    grid = samples.grid
-    n = grid.n
-    if n % 2 != 0:
+def _even_knots(samples):
+    if samples.grid.n % 2 != 0:
         raise UsageError("spaced design requires even N")
-    act = Activation.cubic(inflection_slope)
-    inv = float(n)
-    neurons = []
-    for j in range(0, n + 1, 2):
-        xm, xp = _virtual_neighbors(grid, j)
-        neurons.append(HiddenNeuron(inv, -(inv * xm), act))
-        neurons.append(HiddenNeuron(-inv, inv * xp, act))
-    f = samples.values
-    outputs = []
-    for k in range(f.shape[1]):
-        weights = []
-        bias_terms = []
-        for j in range(0, n + 1, 2):
-            fj = float(f[j, k])
-            weights.extend((fj, fj))
-            bias_terms.extend((-0.5 * fj,) * 2)
-        outputs.append(OutputTap(tuple(weights), math.fsum(bias_terms)))
-    return Network(tuple(neurons), tuple(outputs), "cubic-spaced", n)
+    return np.arange(0, samples.grid.n + 1, 2), samples.values[::2]
+
+
+# A unit is (direction, knot offset, tap sign): it rises (+1) or falls
+# (-1) at x_{j+offset}, and its tap is sign * c_j.
+_RISE = (1.0, 0, 1.0)
+_PAIR = ((1.0, -1, 1.0), (-1.0, 1, 1.0))
+_Design = namedtuple("_Design", "kind taps units plus_one")
+_DESIGNS = {
+    "constant": _Design(STEP, _telescoped, (_RISE,), False),
+    "linear-relu": _Design(RELU, _every_knot,
+                          ((1.0, -1, 1.0), (1.0, 0, -1.0),
+                           (-1.0, 1, 1.0), (-1.0, 0, -1.0)), True),
+    "linear-ramp": _Design(RAMP, _every_knot, _PAIR, True),
+    "cubic": _Design(CUBIC, _coupled, _PAIR, True),
+    "cubic-spaced": _Design(CUBIC, _even_knots, _PAIR, True),
+}
+METHODS = tuple(_DESIGNS)
 
 
 def build_network(method, samples, slope=DEFAULT_SLOPE):
-    """Dispatch a construction method name to its builder."""
-    if method == "constant":
-        return build_piecewise_constant(samples)
-    if method == "linear-relu":
-        return build_piecewise_linear_relu(samples)
-    if method == "linear-ramp":
-        return build_piecewise_linear_ramp(samples)
-    if method == "cubic":
-        return build_piecewise_cubic_coupled(samples, slope)
-    if method == "cubic-spaced":
-        return build_piecewise_cubic_spaced(samples, slope)
-    raise UsageError("unknown construction method %r" % (method,))
+    """Build the network of a construction method (see the module
+    docstring) for the knot samples.  slope is the cubic's inflection
+    slope; the other methods ignore it.
+
+    Raises NumericalError, naming the output column, when a tap or a
+    tap bias overflows.
+    """
+    design = _DESIGNS.get(method)
+    if design is None:
+        raise UsageError("unknown construction method %r" % (method,))
+    act = Activation.cubic(slope) if design.kind == CUBIC else Activation(design.kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        knots, c = design.taps(samples)
+    q = c.shape[1]
+    tap_bias = np.zeros(q)
+    for k in range(q):
+        if not np.all(np.isfinite(c[:, k])):
+            raise NumericalError("tap weights of output %d are not finite" % k)
+        if design.plus_one:
+            share = -c[:, k] / len(design.units)
+            try:
+                tap_bias[k] = math.fsum(np.repeat(share, len(design.units)).tolist())
+            except OverflowError:
+                raise NumericalError("tap bias of output %d overflows" % k) from None
+    grid = samples.grid
+    # x_{-1}, x_0, ..., x_{N+1}: knot j + offset sits at index j + offset + 1
+    x = np.concatenate([[-grid.h], grid.knots, [1.0 + grid.h]])
+    direction, offset, sign = (np.array(u) for u in zip(*design.units))
+    weight = np.tile(direction * float(grid.n), knots.size)
+    bias = -(weight * x[(knots[:, None] + offset + 1).ravel()])
+    taps = (c[:, None, :] * sign[:, None]).reshape(-1, q)
+    return Network(weight, bias, (act,), np.zeros(weight.size, np.int64),
+                   taps, tap_bias, method, grid.n)

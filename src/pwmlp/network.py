@@ -1,11 +1,13 @@
-"""One-hidden-layer networks with per-neuron activations.
+"""One-hidden-layer networks with per-unit activations.
 
-A network is a list of hidden neurons (input weight, bias, activation)
-plus one output tap per output dimension (a weight per neuron and one
-accumulated bias).  Evaluation sums tap-weighted activations in neuron
-order with a compensated (Neumaier) accumulator: the ReLU constructions
-produce large cancelling responses, and plain summation would visibly
-erode the agreement with the piecewise-polynomial reference models.
+A network is a few arrays: each hidden unit's input weight and bias,
+its activation as an index into a tuple of distinct activations (so a
+network can mix kinds and cubic slopes), and a tap matrix with one
+column of output weights and one tap bias per output dimension.
+Evaluation sums tap-weighted activations in unit order with a
+compensated (Neumaier) accumulator: the ReLU constructions produce
+large cancelling responses, and plain summation would visibly erode
+the agreement with the piecewise-polynomial reference models.
 
 Models serialize to JSON with shortest-round-trip number formatting, so
 a save/load cycle reproduces evaluation results bit for bit.
@@ -30,55 +32,74 @@ from .activations import (
 from .errors import DomainError, FormatError, NumericalError, UsageError
 
 
-@dataclass(frozen=True)
-class HiddenNeuron:
-    weight: float
-    bias: float
-    activation: Activation
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and math.isfinite(self.bias)):
-            raise UsageError("neuron weight and bias must be finite")
+def _frozen(values, dtype=np.float64):
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class OutputTap:
-    weights: Tuple[float, ...]
-    bias: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) for w in self.weights):
-            raise UsageError("tap weights must be finite")
-        if not math.isfinite(self.bias):
-            raise UsageError("tap bias must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    neurons: Tuple[HiddenNeuron, ...]
-    outputs: Tuple[OutputTap, ...]
+    """m hidden units feeding q outputs.
+
+    Unit i computes acts[group[i]](weight[i] * x + bias[i]); output k is
+    tap_bias[k] + sum_i taps[i, k] * unit_i(x).  weight, bias (m,),
+    taps (m, q) and tap_bias (q,) are stored as read-only float64
+    copies, group (m,) as a read-only int64 copy.
+    """
+
+    weight: np.ndarray
+    bias: np.ndarray
+    acts: Tuple[Activation, ...]
+    group: np.ndarray
+    taps: np.ndarray
+    tap_bias: np.ndarray
     method: str
     n: int
 
     def __post_init__(self):
-        if len(self.neurons) == 0:
+        for name in ("weight", "bias", "taps", "tap_bias"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "group", _frozen(self.group, np.int64))
+        object.__setattr__(self, "acts", tuple(self.acts))
+        m = self.weight.size
+        if self.weight.ndim != 1 or m == 0:
             raise UsageError("network needs at least one hidden neuron")
-        if len(self.outputs) == 0:
+        if self.bias.shape != (m,) or self.group.shape != (m,):
+            raise UsageError("bias and group need one entry per neuron")
+        if self.taps.ndim != 2 or self.taps.shape[1] == 0:
             raise UsageError("network needs at least one output tap")
-        for k, tap in enumerate(self.outputs):
-            if len(tap.weights) != len(self.neurons):
-                raise UsageError(
-                    "output tap %d has %d weights for %d neurons"
-                    % (k, len(tap.weights), len(self.neurons))
-                )
+        if self.taps.shape[0] != m:
+            raise UsageError("output taps have %d weights for %d neurons"
+                             % (self.taps.shape[0], m))
+        if self.tap_bias.shape != (self.out_dim,):
+            raise UsageError("need one tap bias per output")
+        if not np.all(np.isfinite(self.weight) & np.isfinite(self.bias)):
+            raise UsageError("neuron weight and bias must be finite")
+        if not np.all(np.isfinite(self.taps)):
+            raise UsageError("tap weights must be finite")
+        if not np.all(np.isfinite(self.tap_bias)):
+            raise UsageError("tap bias must be finite")
+        if np.any((self.group < 0) | (self.group >= len(self.acts))):
+            raise UsageError("activation index out of range")
 
     @property
     def width(self):
-        return len(self.neurons)
+        return self.weight.size
 
     @property
     def out_dim(self):
-        return len(self.outputs)
+        return self.taps.shape[1]
+
+
+def _finite_outputs(xs, out):
+    """out, the (len(xs), q) outputs at xs; NumericalError naming the
+    first x where one is not finite."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NumericalError("network output is not finite at x=%r"
+                             % float(xs[bad.any(axis=1).argmax()]))
+    return out
 
 
 def _evaluation_grid(grid):
@@ -98,25 +119,6 @@ def _evaluation_grid(grid):
 # whatever the grid and the width.
 _TILE = 2**13
 _SIDE = math.isqrt(_TILE)
-
-
-def _neuron_arrays(net):
-    """The network's parameters as arrays: input weights w and biases b
-    (width,), tap weights (width, q), tap biases (q,), the distinct
-    activations, and each neuron's index into them."""
-    w = np.array([u.weight for u in net.neurons])
-    b = np.array([u.bias for u in net.neurons])
-    taps = np.array([tap.weights for tap in net.outputs]).T
-    tap_bias = np.array([tap.bias for tap in net.outputs])
-    # Keyed by the fields: hashing them as a tuple costs a third of
-    # hashing the Activation.
-    index = {}
-    group = np.array([
-        index.setdefault((u.activation.kind, u.activation.cubic_coeffs),
-                         len(index))
-        for u in net.neurons
-    ])
-    return w, b, taps, tap_bias, [Activation(*key) for key in index], group
 
 
 def _tile_activations(acts, members, z, start):
@@ -194,9 +196,9 @@ def forward_grid(net, grid):
     not finite (an overflow of the network's own arithmetic).
     """
     xs = _evaluation_grid(grid)
-    w, b, taps, tap_bias, acts, group = _neuron_arrays(net)
+    w, b, taps, acts = net.weight, net.bias, net.taps, net.acts
     width, q = taps.shape
-    members = [np.flatnonzero(group == g) for g in range(len(acts))]
+    members = [np.flatnonzero(net.group == g) for g in range(len(acts))]
     # A few points get rows of up to _TILE neurons; many get square
     # tiles, so neither side of a tile shrinks to a handful of values.
     cols = min(width, max(_TILE // xs.size, _SIDE))
@@ -206,7 +208,7 @@ def forward_grid(net, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, xs.size, rows):
             x = xs[i:i + rows, None]
-            total = np.repeat(tap_bias[:, None], x.size, axis=1)
+            total = np.repeat(net.tap_bias[:, None], x.size, axis=1)
             comp = np.zeros_like(total)
             for j in range(0, width, cols):
                 n = min(cols, width - j)
@@ -218,11 +220,7 @@ def forward_grid(net, grid):
                     _neumaier_tile(a, taps[j:j + cols, k], total[k], comp[k],
                                    bufs)
             np.add(total, comp, out=out[:, i:i + rows])
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise NumericalError("network output is not finite at x=%r"
-                             % float(xs[bad.any(axis=0).argmax()]))
-    return out.T
+    return _finite_outputs(xs, out.T)
 
 
 def forward(net, x):
@@ -253,12 +251,15 @@ class PiecewiseNetwork:
     def eval(self, grid):
         """Evaluate on a 1-D grid by searchsorted plus Horner; returns a
         (len(grid), q) array.  The grid is validated as forward_grid
-        validates it."""
+        validates it, and a non-finite output raises NumericalError as
+        it does there."""
         xs = _evaluation_grid(grid)
         piece = np.searchsorted(self.breaks, xs, side="right")
         t = (xs - self.anchors[piece])[:, None]
         c = self.coeffs[:, piece, :]
-        return ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
+        return _finite_outputs(xs, out)
 
 
 def _step_flipped(w, b, x):
@@ -304,6 +305,7 @@ def _compensated_cumsum(rows):
     return s + comp
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compile_network(net):
     """Compile a network into its exact piecewise-polynomial form.
 
@@ -320,15 +322,19 @@ def compile_network(net):
 
     Costs O(width log width) once; PiecewiseNetwork.eval then costs
     O(len(grid) log width) instead of forward_grid's O(len(grid) * width).
+
+    Raises NumericalError, naming the anchor x of the first such piece,
+    when a coefficient is not finite (the network's slope or curvature
+    overflows, as a3 * w**3 * c can).
     """
-    w, b, taps, tap_bias, acts, group = _neuron_arrays(net)
+    w, b, taps, acts, group = net.weight, net.bias, net.taps, net.acts, net.group
     kind = np.array([act.kind for act in acts])[group]
     q = net.out_dim
 
     # Global parts: (position, change of level, change of slope) events;
     # position -inf means present from the left.
     pos = [np.full(1, -np.inf)]
-    level = [tap_bias[None, :]]
+    level = [net.tap_bias[None, :]]
     slope = [np.zeros((1, q))]
 
     def add(x, dlevel, dslope):
@@ -357,13 +363,11 @@ def compile_network(net):
     mid = sat & ~step
     hi = np.empty(w.size)
     hi[step] = _step_breaks(w[step], b[step])
-    with np.errstate(over="ignore"):
-        hi[mid] = (1.0 - b[mid]) / w[mid]
+    hi[mid] = (1.0 - b[mid]) / w[mid]
     switch_on(sat, hi[sat], taps[sat], np.zeros((sat.sum(), q)))
 
     relu = ~flat & (kind == RELU)
-    with np.errstate(over="ignore"):
-        root = -b[relu] / w[relu]
+    root = -b[relu] / w[relu]
     switch_on(relu, root, taps[relu] * b[relu, None],
               taps[relu] * w[relu, None])
 
@@ -371,8 +375,7 @@ def compile_network(net):
     # as polynomials sum_d poly[:, d] z**d (the ramp's is z).
     units = np.flatnonzero(mid)
     zlo = np.where(kind[units] == CUBIC, -1.0, 0.0)
-    with np.errstate(over="ignore"):
-        lo = (zlo - b[units]) / w[units]
+    lo = (zlo - b[units]) / w[units]
     ends = np.sort(np.column_stack([lo, hi[units]]), axis=1)
     poly = np.array([act.cubic_coeffs or (0.0, 1.0, 0.0, 0.0)
                      for act in acts])[group[units]]
@@ -413,6 +416,10 @@ def compile_network(net):
     for d, part in enumerate(taylor):
         np.add.at(coeffs[d], piece, part[:, None] * c)
 
+    bad = ~np.isfinite(coeffs).all(axis=(0, 2))
+    if bad.any():
+        raise NumericalError("compiled network is not finite on the piece "
+                             "anchored at x=%r" % float(anchors[bad.argmax()]))
     for arr in (breaks, anchors, coeffs):
         arr.flags.writeable = False
     return PiecewiseNetwork(breaks, anchors, coeffs)
@@ -425,20 +432,23 @@ def save_model(net):
     coefficients are recomputed on load, which keeps the document small
     and cannot drift because the reconstruction is deterministic.
     """
-    neurons = []
-    for neuron in net.neurons:
-        act = {"kind": neuron.activation.kind}
-        if neuron.activation.kind == CUBIC:
-            act["a1"] = neuron.activation.cubic_coeffs[1]
-        neurons.append(
-            {"weight": neuron.weight, "bias": neuron.bias, "activation": act}
-        )
+    acts = []
+    for act in net.acts:
+        acts.append({"kind": act.kind})
+        if act.kind == CUBIC:
+            acts[-1]["a1"] = act.cubic_coeffs[1]
+    neurons = [
+        {"weight": w, "bias": b, "activation": acts[g]}
+        for w, b, g in zip(net.weight.tolist(), net.bias.tolist(),
+                           net.group.tolist())
+    ]
     doc = {
         "method": net.method,
         "n": net.n,
         "neurons": neurons,
         "outputs": [
-            {"weights": list(tap.weights), "bias": tap.bias} for tap in net.outputs
+            {"weights": weights, "bias": bias}
+            for weights, bias in zip(net.taps.T.tolist(), net.tap_bias.tolist())
         ],
         "knots": {"n": net.n},
     }
@@ -485,30 +495,39 @@ def load_model(text):
         "neurons",
         "model needs a nonempty neuron list",
     )
-    neurons = []
+    weight, bias, group, acts = [], [], [], []
+    # Keyed with a1's sign: a1 = 0.0 and -0.0 are equal as Activations
+    # but saved differently.
+    index = {}
     for i, item in enumerate(raw_neurons):
         path = "neurons[%d]" % i
         _require(isinstance(item, dict), path, "neuron must be an object")
-        weight = _number(item.get("weight"), path + ".weight")
-        bias = _number(item.get("bias"), path + ".bias")
+        weight.append(_number(item.get("weight"), path + ".weight"))
+        bias.append(_number(item.get("bias"), path + ".bias"))
         act = item.get("activation")
         _require(isinstance(act, dict), path + ".activation", "missing activation")
         kind = act.get("kind")
         _require(kind in KINDS, path + ".activation.kind", "unknown kind %r" % (kind,))
         if kind == CUBIC:
             a1 = _number(act.get("a1"), path + ".activation.a1")
-            try:
-                activation = Activation.cubic(a1)
-            except DomainError as exc:
-                raise FormatError(str(exc), path=path + ".activation.a1") from exc
+            key = (a1, math.copysign(1.0, a1))
         else:
             _require(
                 "a1" not in act,
                 path + ".activation.a1",
                 "a1 only applies to the cubic kind",
             )
-            activation = Activation(kind)
-        neurons.append(HiddenNeuron(weight, bias, activation))
+            key = kind
+        if key not in index:
+            if kind == CUBIC:
+                try:
+                    acts.append(Activation.cubic(a1))
+                except DomainError as exc:
+                    raise FormatError(str(exc), path=path + ".activation.a1") from exc
+            else:
+                acts.append(Activation(kind))
+            index[key] = len(index)
+        group.append(index[key])
 
     raw_outputs = doc.get("outputs")
     _require(
@@ -516,21 +535,21 @@ def load_model(text):
         "outputs",
         "model needs a nonempty output list",
     )
-    outputs = []
+    taps, tap_bias = [], []
     for k, item in enumerate(raw_outputs):
         path = "outputs[%d]" % k
         _require(isinstance(item, dict), path, "output tap must be an object")
         weights = item.get("weights")
         _require(isinstance(weights, list), path + ".weights", "missing weight list")
         _require(
-            len(weights) == len(neurons),
+            len(weights) == len(weight),
             path + ".weights",
-            "expected %d weights, got %d" % (len(neurons), len(weights)),
+            "expected %d weights, got %d" % (len(weight), len(weights)),
         )
-        tap_w = tuple(
+        taps.append([
             _number(w, "%s.weights[%d]" % (path, i)) for i, w in enumerate(weights)
-        )
-        bias = _number(item.get("bias"), path + ".bias")
-        outputs.append(OutputTap(tap_w, bias))
+        ])
+        tap_bias.append(_number(item.get("bias"), path + ".bias"))
 
-    return Network(tuple(neurons), tuple(outputs), doc["method"], n)
+    return Network(weight, bias, tuple(acts), group, np.array(taps).T,
+                   tap_bias, doc["method"], n)

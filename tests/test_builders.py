@@ -1,16 +1,19 @@
-"""Unit tests for knot grids, the tridiagonal solve, and the five builders."""
+"""Unit tests for knot grids, the tridiagonal solve, and the five
+construction methods."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pwmlp import (
+    Activation,
     KnotGrid,
     NumericalError,
     TargetSamples,
     UsageError,
     build_network,
-    build_piecewise_constant,
-    build_piecewise_cubic_spaced,
     forward,
     forward_grid,
     solve_bump_coupling,
@@ -100,6 +103,17 @@ def test_bump_coupling_hand_case():
     assert sol.residual_max <= 1e-12
 
 
+def test_bump_coupling_overflow_fails_the_residual_check():
+    # the sweep overflows to +-inf and the residual is NaN, which must
+    # fail the check rather than pass it
+    samples = TargetSamples(KnotGrid.uniform(64),
+                            1e307 * (-1.0) ** np.arange(65))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="coupling residual nan"):
+            solve_bump_coupling(samples)
+
+
 def test_bump_coupling_residual_reported():
     grid = KnotGrid.uniform(16)
     samples = TargetSamples.from_function(grid, lambda x: np.sin(5.0 * x))
@@ -112,23 +126,77 @@ def test_constant_builder_hand_case():
     # f(x) = x on 2 subintervals: value f(x_j) on [x_j, x_{j+1}), last
     # interval closed at 1
     grid = KnotGrid.uniform(2)
-    net = build_piecewise_constant(TargetSamples(grid, grid.knots.copy()))
+    net = build_network("constant", TargetSamples(grid, grid.knots.copy()))
     got = [forward(net, x)[0] for x in (0.25, 0.5, 0.75, 1.0)]
     assert got == [0.0, 0.5, 0.5, 0.5]
     assert forward(net, 0.0)[0] == 0.0
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def test_constant_builder_structure():
     grid = KnotGrid.uniform(4)
-    net = build_piecewise_constant(
-        TargetSamples(grid, np.array([1.0, 3.0, 2.0, 5.0, 4.0]))
-    )
+    values = np.array([[1.0, -0.0], [3.0, 0.0], [2.0, -0.0], [5.0, -0.0],
+                       [4.0, 0.0]])
+    net = build_network("constant", TargetSamples(grid, values))
     assert net.width == 4
-    assert all(nrn.weight == 4.0 for nrn in net.neurons)
-    assert [nrn.bias for nrn in net.neurons] == [-0.0, -1.0, -2.0, -3.0]
-    # telescoped taps: first is f0, later ones are the jumps
-    assert net.outputs[0].weights == (1.0, 2.0, -1.0, 3.0)
-    assert net.outputs[0].bias == 0.0
+    assert net.acts == (Activation.step(),) and net.group.tolist() == [0] * 4
+    assert _bits(net.weight) == _bits([4.0] * 4)
+    # the first bias is -(4 * 0.0) = -0.0, bit for bit
+    assert _bits(net.bias) == _bits([-0.0, -1.0, -2.0, -3.0])
+    # telescoped taps: first is f0 - 0.0, later ones are the jumps
+    assert _bits(net.taps) == _bits([[1.0, -0.0], [2.0, 0.0], [-1.0, -0.0],
+                                     [3.0, 0.0]])
+    assert _bits(net.tap_bias) == _bits([0.0, 0.0])
+
+
+# At N = 2 (inv = 2, virtual knots -0.5 and 1.5) on f = (1, 3, -2): the
+# (weight, bias) of each unit, knot by knot, the taps, and the tap bias
+# -sum_j c_j that removes the + 1 of each group.
+_RAMP_UNITS = [(2.0, 1.0), (-2.0, 1.0), (2.0, -0.0), (-2.0, 2.0),
+               (2.0, -1.0), (-2.0, 3.0)]
+_STRUCTURE = {
+    "linear-relu": (
+        [(2.0, 1.0), (2.0, -0.0), (-2.0, 1.0), (-2.0, 0.0),
+         (2.0, -0.0), (2.0, -1.0), (-2.0, 2.0), (-2.0, 1.0),
+         (2.0, -1.0), (2.0, -2.0), (-2.0, 3.0), (-2.0, 2.0)],
+        (1.0, -1.0, 1.0, -1.0, 3.0, -3.0, 3.0, -3.0, -2.0, 2.0, -2.0, 2.0),
+        -2.0,
+    ),
+    "linear-ramp": (_RAMP_UNITS, (1.0, 1.0, 3.0, 3.0, -2.0, -2.0), -2.0),
+    "cubic-spaced": ([(2.0, 1.0), (-2.0, 1.0), (2.0, -1.0), (-2.0, 3.0)],
+                     (1.0, 1.0, -2.0, -2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_STRUCTURE))
+def test_builder_structure(method):
+    grid = KnotGrid.uniform(2)
+    net = build_network(method, TargetSamples(grid, np.array([1.0, 3.0, -2.0])),
+                        slope=0.25)
+    units, taps, tap_bias = _STRUCTURE[method]
+    assert _bits(net.weight) == _bits([w for w, _ in units])
+    assert _bits(net.bias) == _bits([b for _, b in units])
+    assert _bits(net.taps) == _bits(np.array(taps)[:, None])
+    assert _bits(net.tap_bias) == _bits([tap_bias])
+    kind = {"linear-relu": Activation.relu(), "linear-ramp": Activation.ramp(),
+            "cubic-spaced": Activation.cubic(0.25)}[method]
+    assert net.acts == (kind,) and not net.group.any()
+
+
+def test_cubic_builder_structure():
+    grid = KnotGrid.uniform(2)
+    samples = TargetSamples(grid, np.array([[1.0, 0.0], [3.0, -0.0], [-2.0, 0.0]]))
+    net = build_network("cubic", samples, slope=0.25)
+    g = solve_bump_coupling(samples).g
+    assert _bits(net.weight) == _bits([w for w, _ in _RAMP_UNITS])
+    assert _bits(net.bias) == _bits([b for _, b in _RAMP_UNITS])
+    assert _bits(net.taps) == _bits(np.repeat(g, 2, axis=0))
+    assert _bits(net.tap_bias) == _bits(
+        [math.fsum(-0.5 * np.repeat(g[:, k], 2)) for k in range(2)])
+    assert net.acts == (Activation.cubic(0.25),) and not net.group.any()
 
 
 def test_linear_builders_reproduce_affine():
@@ -146,9 +214,7 @@ def test_constant_builder_reproduces_constants():
     xs = np.linspace(0.0, 1.0, 501)
     for c in (1.0, -3.7, float(rng.uniform(-10.0, 10.0))):
         grid = KnotGrid.uniform(9)
-        net = build_piecewise_constant(
-            TargetSamples(grid, np.full(10, c))
-        )
+        net = build_network("constant", TargetSamples(grid, np.full(10, c)))
         err = np.abs(forward_grid(net, xs)[:, 0] - c)
         assert np.max(err) <= 1e-15 * abs(c)
 
@@ -168,7 +234,7 @@ def test_cubic_spaced_knot_values():
     samples = TargetSamples.from_function(
         grid, lambda x: 1.0 / (1.0 + 25.0 * (x - 0.5) ** 2)
     )
-    net = build_piecewise_cubic_spaced(samples)
+    net = build_network("cubic-spaced", samples)
     at_knots = forward_grid(net, grid.knots)[:, 0]
     f = samples.values[:, 0]
     # exact at the bump centers, flank average in between
@@ -181,7 +247,7 @@ def test_cubic_spaced_requires_even_n():
     grid = KnotGrid.uniform(5)
     samples = TargetSamples(grid, np.ones(6))
     with pytest.raises(UsageError):
-        build_piecewise_cubic_spaced(samples)
+        build_network("cubic-spaced", samples)
 
 
 def test_multi_output_targets():
@@ -201,3 +267,31 @@ def test_unknown_method_rejected():
     samples = TargetSamples(grid, np.ones(3))
     with pytest.raises(UsageError):
         build_network("quartic", samples)
+
+
+def _overflowing_samples():
+    """(method, knot values at N = 64) whose taps overflow: alternating
+    +-1e308 telescopes to +-2e308, the tap biases of 1e307 sin 2 pi x and
+    of 1e308 overflow inside fsum, and alternating +-1e307 overflows
+    the coupling sweep."""
+    x = KnotGrid.uniform(64).knots
+    alternating = (-1.0) ** np.arange(65)
+    sine = 1e307 * np.sin(2.0 * np.pi * x)
+    big = np.full(65, 1e308)
+    return [("constant", 1e308 * alternating),
+            ("linear-relu", sine), ("linear-relu", big),
+            ("linear-ramp", sine), ("linear-ramp", big),
+            ("cubic-spaced", big), ("cubic", 1e307 * alternating)]
+
+
+@pytest.mark.parametrize("case", range(len(_overflowing_samples())))
+def test_builder_overflow_is_a_numerical_error(case):
+    method, values = _overflowing_samples()[case]
+    # a finite second column first, so the error must name output 1
+    samples = TargetSamples(KnotGrid.uniform(64),
+                            np.column_stack([np.ones(65), values]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError,
+                           match="output 1|coupling residual nan"):
+            build_network(method, samples)

@@ -186,6 +186,42 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+def _write_samples(path, values):
+    grid = KnotGrid.uniform(len(values) - 1)
+    path.write_text("x,f1\n" + "".join(
+        "%r,%r\n" % (float(x), float(v)) for x, v in zip(grid.knots, values)))
+
+
+_ALTERNATING = (-1.0) ** np.arange(65)
+
+
+@pytest.mark.parametrize("method,values", [
+    ("constant", 1e308 * _ALTERNATING),
+    ("linear-relu", 1e307 * np.sin(2.0 * np.pi * KnotGrid.uniform(64).knots)),
+    ("cubic-spaced", np.full(65, 1e308)),
+    ("cubic", 1e307 * _ALTERNATING),
+])
+def test_build_overflow_exits_4_without_model(tmp_path, capsys, method,
+                                              values):
+    csv_path = tmp_path / "samples.csv"
+    _write_samples(csv_path, values)
+    out = tmp_path / "m.json"
+    code, text, err = run(capsys, "build", "--method", method, "--n", "64",
+                          "--csv", str(csv_path), "--out", str(out))
+    assert code == 4 and "error:" in err and "Traceback" not in err
+    assert text == "" and not out.exists()
+
+
+def test_verify_overflowing_compiled_form_exits_4(tmp_path, capsys):
+    # a3 * w**3 * c overflows in the compiled form of the cubic network
+    csv_path = tmp_path / "samples.csv"
+    _write_samples(csv_path,
+                   1e305 * np.sin(2.0 * np.pi * KnotGrid.uniform(64).knots))
+    code, out, err = run(capsys, "verify", "--method", "cubic", "--n", "64",
+                         "--csv", str(csv_path), "--tol", "1e296")
+    assert code == 4 and out == "" and "not finite" in err
+
+
 def test_build_from_csv_matches_builtin(tmp_path, capsys):
     n = 8
     grid = KnotGrid.uniform(n)

@@ -12,11 +12,9 @@ from pwmlp import (
     Activation,
     DomainError,
     FormatError,
-    HiddenNeuron,
     KnotGrid,
     Network,
     NumericalError,
-    OutputTap,
     TargetSamples,
     UsageError,
     activation_values,
@@ -28,8 +26,20 @@ from pwmlp import (
     load_model,
     matching_oracle,
     save_model,
+    verify_equivalence,
 )
 from pwmlp.network import _SIDE, _TILE
+
+
+def _network(units, outputs):
+    """A Network from (weight, bias, activation) per unit and (tap
+    weights, tap bias) per output, grouping units by activation."""
+    weight, bias, unit_acts = zip(*units)
+    acts = tuple(dict.fromkeys(unit_acts))
+    group = [acts.index(act) for act in unit_acts]
+    taps, tap_bias = zip(*outputs)
+    return Network(weight, bias, acts, group, np.array(taps).T, tap_bias,
+                   "constant", 1)
 
 
 def _random_network(rng, width=12, q=2):
@@ -39,37 +49,32 @@ def _random_network(rng, width=12, q=2):
         Activation.ramp(),
         Activation.cubic(),
     ]
-    neurons = tuple(
-        HiddenNeuron(
-            float(rng.uniform(-4.0, 4.0)),
-            float(rng.uniform(-2.0, 2.0)),
-            kinds[int(rng.integers(len(kinds)))],
-        )
+    units = [
+        (float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-2.0, 2.0)),
+         kinds[int(rng.integers(len(kinds)))])
         for _ in range(width)
-    )
-    outputs = tuple(
-        OutputTap(
-            tuple(float(w) for w in rng.uniform(-3.0, 3.0, width)),
-            float(rng.uniform(-1.0, 1.0)),
-        )
+    ]
+    outputs = [
+        (rng.uniform(-3.0, 3.0, width), float(rng.uniform(-1.0, 1.0)))
         for _ in range(q)
-    )
-    return Network(neurons, outputs, "constant", 1)
+    ]
+    return _network(units, outputs)
 
 
 def _forward_grid_loop(net, grid):
-    """The reference forward pass: a loop over neurons, each added to
+    """The reference forward pass: a loop over the units, each added to
     every output with Neumaier's compensated update."""
     xs = np.asarray(grid, dtype=np.float64)
     q = net.out_dim
     total = np.empty((q, xs.size), dtype=np.float64)
     comp = np.zeros((q, xs.size), dtype=np.float64)
-    for k, tap in enumerate(net.outputs):
-        total[k, :] = tap.bias
-    for j, neuron in enumerate(net.neurons):
-        a = activation_values(neuron.activation, neuron.weight * xs + neuron.bias)
-        for k, tap in enumerate(net.outputs):
-            v = tap.weights[j] * a
+    for k in range(q):
+        total[k, :] = net.tap_bias[k]
+    for j in range(net.width):
+        act = net.acts[net.group[j]]
+        a = activation_values(act, net.weight[j] * xs + net.bias[j])
+        for k in range(q):
+            v = net.taps[j, k] * a
             s = total[k]
             t = s + v
             comp[k] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
@@ -118,18 +123,15 @@ def test_neuron_order_is_immaterial():
     xs = rng.uniform(0.0, 1.0, 101)
     base = forward_grid(net, xs)[:, 0]
     perm = rng.permutation(net.width)
-    shuffled = Network(
-        tuple(net.neurons[i] for i in perm),
-        (OutputTap(tuple(net.outputs[0].weights[i] for i in perm),
-                   net.outputs[0].bias),),
-        net.method,
-        net.n,
-    )
+    shuffled = Network(net.weight[perm], net.bias[perm], net.acts,
+                       net.group[perm], net.taps[perm], net.tap_bias,
+                       net.method, net.n)
     other = forward_grid(shuffled, xs)[:, 0]
     terms = np.stack(
-        [np.abs(w) * np.abs(activation_values(nrn.activation,
-                                              nrn.weight * xs + nrn.bias))
-         for nrn, w in zip(net.neurons, net.outputs[0].weights)]
+        [np.abs(net.taps[j, 0])
+         * np.abs(activation_values(net.acts[net.group[j]],
+                                    net.weight[j] * xs + net.bias[j]))
+         for j in range(net.width)]
     )
     scale = 1.0 + terms.sum(axis=0)
     assert np.max(np.abs(base - other) / scale) <= 1e-15
@@ -140,15 +142,12 @@ def test_tap_additivity():
     # and adding the results reproduces the original up to rounding
     rng = np.random.default_rng(37)
     net = _random_network(rng, width=20, q=1)
-    w = np.asarray(net.outputs[0].weights)
-    b = net.outputs[0].bias
+    w = net.taps[:, 0]
+    b = net.tap_bias[0]
     split = rng.uniform(-1.0, 1.0, w.size)
-    taps = (
-        OutputTap(tuple(split), 0.25 * b),
-        OutputTap(tuple(w - split), 0.75 * b),
-        net.outputs[0],
-    )
-    two = Network(net.neurons, taps, net.method, net.n)
+    two = Network(net.weight, net.bias, net.acts, net.group,
+                  np.column_stack([split, w - split, w]),
+                  [0.25 * b, 0.75 * b, b], net.method, net.n)
     xs = rng.uniform(0.0, 1.0, 101)
     out = forward_grid(two, xs)
     recombined = out[:, 0] + out[:, 1]
@@ -157,19 +156,45 @@ def test_tap_additivity():
 
 
 def test_network_validation():
-    neuron = HiddenNeuron(1.0, 0.0, Activation.relu())
-    with pytest.raises(UsageError):
-        Network((), (OutputTap((), 0.0),), "constant", 1)
-    with pytest.raises(UsageError):
-        Network((neuron,), (), "constant", 1)
-    with pytest.raises(UsageError):
-        Network((neuron,), (OutputTap((1.0, 2.0), 0.0),), "constant", 1)
-    with pytest.raises(UsageError):
-        HiddenNeuron(float("nan"), 0.0, Activation.relu())
-    with pytest.raises(UsageError):
-        OutputTap((1.0, float("inf")), 0.0)
-    with pytest.raises(UsageError):
-        OutputTap((1.0,), float("nan"))
+    relu = (Activation.relu(),)
+
+    def make(weight=(1.0,), bias=(0.0,), acts=relu, group=(0,),
+             taps=((1.0,),), tap_bias=(0.0,)):
+        return Network(weight, bias, acts, group, taps, tap_bias, "constant", 1)
+
+    assert make().width == 1 and make().out_dim == 1
+    for bad in (
+        dict(weight=(), bias=(), group=(), taps=np.empty((0, 1))),
+        dict(taps=np.empty((1, 0)), tap_bias=()),
+        dict(taps=((1.0, 2.0),)),
+        dict(taps=((1.0,), (2.0,))),
+        dict(tap_bias=(0.0, 0.0)),
+        dict(bias=(0.0, 1.0)),
+        dict(group=(0, 0)),
+        dict(weight=(float("nan"),)),
+        dict(bias=(float("inf"),)),
+        dict(taps=((float("inf"),),)),
+        dict(tap_bias=(float("nan"),)),
+        dict(group=(1,)),
+        dict(group=(-1,)),
+        dict(acts=()),
+    ):
+        with pytest.raises(UsageError):
+            make(**bad)
+
+
+def test_network_arrays_are_read_only_copies():
+    weight = np.array([1.0, -2.0])
+    taps = np.array([[1.0], [2.0]])
+    net = Network(weight, [0.5, 0.0], (Activation.step(), Activation.relu()),
+                  [1, 0], taps, [0.0], "constant", 1)
+    weight[0] = 7.0
+    taps[0, 0] = 7.0
+    assert net.weight.tolist() == [1.0, -2.0] and net.taps[0, 0] == 1.0
+    for arr, dtype in ((net.weight, np.float64), (net.bias, np.float64),
+                       (net.group, np.int64), (net.taps, np.float64),
+                       (net.tap_bias, np.float64)):
+        assert arr.dtype == dtype and not arr.flags.writeable
 
 
 @pytest.mark.parametrize("n", (8, 64, 512, 4096))
@@ -208,17 +233,16 @@ def _general_network(rng, width, q):
     )
     weights = rng.uniform(-4.0, 4.0, width)
     weights[rng.random(width) < 0.125] = 0.0
-    neurons = tuple(
-        HiddenNeuron(float(w), float(rng.uniform(-2.0, 2.0)),
-                     kinds[int(rng.integers(len(kinds)))])
+    units = [
+        (float(w), float(rng.uniform(-2.0, 2.0)),
+         kinds[int(rng.integers(len(kinds)))])
         for w in weights
-    )
-    outputs = tuple(
-        OutputTap(tuple(float(c) for c in rng.uniform(-3.0, 3.0, width)),
-                  float(rng.uniform(-1.0, 1.0)))
+    ]
+    outputs = [
+        (rng.uniform(-3.0, 3.0, width), float(rng.uniform(-1.0, 1.0)))
         for _ in range(q)
-    )
-    return Network(neurons, outputs, "constant", 1)
+    ]
+    return _network(units, outputs)
 
 
 _LEVELS = {"step": (0.0,), "relu": (0.0,), "ramp": (0.0, 1.0),
@@ -229,9 +253,9 @@ def _probe_points(rng, net):
     """Uniform points in [-2, 3], every unit's thresholds and their
     neighbouring doubles, and +-1e6."""
     thresholds = [
-        (z - u.bias) / u.weight
-        for u in net.neurons if u.weight != 0.0
-        for z in _LEVELS[u.activation.kind]
+        (z - b) / w
+        for w, b, g in zip(net.weight, net.bias, net.group) if w != 0.0
+        for z in _LEVELS[net.acts[g].kind]
     ]
     t = np.asarray(thresholds, dtype=np.float64)
     return np.concatenate([
@@ -297,9 +321,9 @@ def test_forward_grid_memory_stays_within_tiles():
 
 
 def test_forward_grid_raises_on_non_finite_output():
-    relu = HiddenNeuron(1e300, 0.0, Activation.relu())
-    step = HiddenNeuron(1e300, 0.0, Activation.step())
-    net = Network((relu, step), (OutputTap((1e300, 1.0), 0.0),), "constant", 1)
+    relu = (1e300, 0.0, Activation.relu())
+    step = (1e300, 0.0, Activation.step())
+    net = _network([relu, step], [((1e300, 1.0), 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="x=0.25"):
@@ -307,8 +331,35 @@ def test_forward_grid_raises_on_non_finite_output():
         with pytest.raises(NumericalError):
             forward(net, 0.5)
         # w*x overflows inside a step unit, whose output stays finite
-        ok = Network((step,), (OutputTap((2.0,), 0.5),), "constant", 1)
+        ok = _network([step], [((2.0,), 0.5)])
         assert forward_grid(ok, np.array([-1e6, 1e6])).tolist() == [[0.5], [2.5]]
+
+
+def test_compiled_form_raises_on_non_finite_coefficients():
+    # slope 1e300 * 1e300: the compiled form cannot hold it, and the
+    # network overflows for x > 0 as well
+    net = _network([(1e300, 0.0, Activation.relu())], [((1e300,), 0.0)])
+    samples = TargetSamples(KnotGrid.uniform(1), np.array([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="x=-0.0"):
+            compile_network(net)
+        with pytest.raises(NumericalError):
+            verify_equivalence(net, matching_oracle("linear-relu", samples),
+                               101)
+
+
+def test_compiled_eval_raises_on_non_finite_output():
+    # finite coefficients (slope 1e300) whose value overflows at x = 1e10
+    net = _network([(1e200, 0.0, Activation.relu())], [((1e100,), 0.0)])
+    xs = np.array([-1.0, 0.5, 1e10, 2e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compiled = compile_network(net)
+        assert compiled.eval(xs[:2]).tolist() == [[0.0], [5e299]]
+        for evaluate in (compiled.eval, lambda g: forward_grid(net, g)):
+            with pytest.raises(NumericalError, match="x=10000000000.0"):
+                evaluate(xs)
 
 
 def test_compiled_matches_dense_on_general_networks():
@@ -319,11 +370,8 @@ def test_compiled_matches_dense_on_general_networks():
                                int(rng.integers(1, 4)))
         xs = _probe_points(rng, net)
         dev = np.abs(compile_network(net).eval(xs) - forward_grid(net, xs))
-        w = np.array([u.weight for u in net.neurons])
-        b = np.array([u.bias for u in net.neurons])
-        c = np.abs(np.array([tap.weights for tap in net.outputs]))
-        size = 1.0 + np.abs(np.multiply.outer(xs, w)) + np.abs(b)
-        scale = 1.0 + size @ c.T
+        size = 1.0 + np.abs(np.multiply.outer(xs, net.weight)) + np.abs(net.bias)
+        scale = 1.0 + size @ np.abs(net.taps)
         worst = max(worst, float(np.max(dev / scale)))
     assert worst <= 1e-14
 
