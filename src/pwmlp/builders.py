@@ -137,14 +137,13 @@ def _even_knots(samples):
 
 # A unit is (direction, knot offset, tap sign): it rises (+1) or falls
 # (-1) at x_{j+offset}, and its tap is sign * c_j.
-_RISE = (1.0, 0, 1.0)
 _PAIR = ((1.0, -1, 1.0), (-1.0, 1, 1.0))
 _Design = namedtuple("_Design", "kind taps units plus_one")
 _DESIGNS = {
-    "constant": _Design(STEP, _telescoped, (_RISE,), False),
+    "constant": _Design(STEP, _telescoped, ((1.0, 0, 1.0),), False),
     "linear-relu": _Design(RELU, _every_knot,
-                          ((1.0, -1, 1.0), (1.0, 0, -1.0),
-                           (-1.0, 1, 1.0), (-1.0, 0, -1.0)), True),
+                           ((1.0, -1, 1.0), (1.0, 0, -1.0),
+                            (-1.0, 1, 1.0), (-1.0, 0, -1.0)), True),
     "linear-ramp": _Design(RAMP, _every_knot, _PAIR, True),
     "cubic": _Design(CUBIC, _coupled, _PAIR, True),
     "cubic-spaced": _Design(CUBIC, _even_knots, _PAIR, True),
