@@ -1,8 +1,10 @@
 """Golden bytes: model JSON, forward_grid output and the compiled form of
-45 built networks and one hybrid model, pinned by one sha256.
+45 built networks and one hybrid model, pinned by one sha256 per method
+and part, plus one for the hybrid model.
 
-The digest was computed before networks became arrays; a change to how
-networks are stored or built must leave every byte of it alone.
+A change to how networks are stored or built must leave every pin
+alone.  A change that moves bytes on purpose re-pins only the parts it
+meant to move and says which and why.
 """
 
 import hashlib
@@ -23,7 +25,52 @@ from pwmlp import (
     save_model,
 )
 
-GOLDEN_SHA256 = "3187f587eaccad7fdbee0cf295bf0fc16a1f2e44fafd0c7e82d770ac95df0dd1"
+PARTS = ("model", "forward", "compiled", "errors")
+
+GOLDEN_SHA256 = {
+    "constant/model":
+        "4e38cb05c3c79a11ee54315a602a58adaee4fced81bc507fc7a6596cdaab09ee",
+    "constant/forward":
+        "98e8986ec0733168b6a5874710ad47edb4f4fdb73ec9ac76600819abd5f85ad0",
+    "constant/compiled":
+        "ad17072a226b5a9dc26a12f11228cd958221d81033ef9cc3f18aede79c2abe61",
+    "constant/errors":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "linear-relu/model":
+        "f34fde0ddf7c44a786f58b4ef4a632ec55e469083aa69c11437585977f00ecbc",
+    "linear-relu/forward":
+        "4f6ff729fa82a918de783b11d47817f423ebecc2bd5ca60d890d9681e8741f19",
+    "linear-relu/compiled":
+        "1c16b4e934fa2affdc7db9ab1f6998096c2eb563877926a5e5ee8d62316fb5cd",
+    "linear-relu/errors":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "linear-ramp/model":
+        "577020f3e168120d8b9b30d0539398f6d9ebf7dd860a273da9815ca5d43be51e",
+    "linear-ramp/forward":
+        "f11fa86fbcb0f6a91d61e5b66d4b946885fab692010c5c80ff3f41bda35ddd99",
+    "linear-ramp/compiled":
+        "d7df16e3c75b7cd4ef277e7ef81d541704b203386f7e239ddab36fef6a2c0d61",
+    "linear-ramp/errors":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "cubic/model":
+        "147ce01d7bc9346e382d106bd10f0830bfab638066bf8dad4a256cecc793907a",
+    "cubic/forward":
+        "eea771791356289e5ff7f9cec19c5f60b9630f05e8c91c8e38c0fa40bca97b1b",
+    "cubic/compiled":
+        "46e883f4b1e0d420b9cfb6cb75bcafd4d51fd1cd9b651c49a32c0ccc4350613f",
+    "cubic/errors":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "cubic-spaced/model":
+        "cbec746bb3a40695aa9b3b45840ae22fed86c88ee40731d260624531f94e4e8a",
+    "cubic-spaced/forward":
+        "2a4bf7247e13639ca5ac23ed4f627223a99b1bad5386544c1ec6bc9e8fc5f629",
+    "cubic-spaced/compiled":
+        "4c3d7799ceda118d5a58ca861db7e5d2d44ca35550bc15d926445d0270f21271",
+    "cubic-spaced/errors":
+        "24282b07cbbec270170fbd2c82aebb605f443ae6c08cc0d0ccf67be6402f5cd7",
+    "hybrid":
+        "f9a6e6a099298f0ed434ec9699d39d3bc313e79bc828f28eead6174d3f310a00",
+}
 
 # Signed zeros, signed smallest subnormals and signed 1e300 in an order
 # that is neither constant nor alternating.
@@ -67,12 +114,17 @@ def _compiled_bytes(net):
     return pw.breaks.tobytes() + pw.anchors.tobytes() + pw.coeffs.tobytes()
 
 
-def _network_bytes(net, xs):
+def _forward_bytes(net, xs):
     try:
-        ys = forward_grid(net, xs).tobytes()
+        return forward_grid(net, xs).tobytes()
     except NumericalError:
-        ys = b"not finite"
-    return save_model(net).encode() + ys + _compiled_bytes(net)
+        return b"not finite"
+
+
+def _network_parts(net, xs):
+    return {"model": save_model(net).encode(),
+            "forward": _forward_bytes(net, xs),
+            "compiled": _compiled_bytes(net)}
 
 
 def _cases():
@@ -89,21 +141,31 @@ def _cases():
                 yield "%s n=%d slope=%r" % (method, n, slope), samples, xs, slope
 
 
-def test_golden_bytes():
-    digest = hashlib.sha256()
+def _digests():
+    """sha256 per "method/part" (build-error class names are the
+    "errors" part) and of all parts of the hybrid model."""
+    digests = {"%s/%s" % (m, part): hashlib.sha256()
+               for m in METHODS for part in PARTS}
     for label, samples, xs, slope in _cases():
         method = label.split()[0]
-        digest.update(label.encode())
         try:
             net = build_network(method, samples, slope)
         except PwmlpError as exc:
-            digest.update(type(exc).__name__.encode())
-            continue
-        digest.update(_network_bytes(net, xs))
-    text = _hybrid_text()
-    digest.update(_network_bytes(load_model(text),
-                                 np.linspace(-2.0, 2.0, 401)))
-    assert digest.hexdigest() == GOLDEN_SHA256
+            parts = {"errors": type(exc).__name__.encode()}
+        else:
+            parts = _network_parts(net, xs)
+        for part, data in parts.items():
+            digest = digests["%s/%s" % (method, part)]
+            digest.update(label.encode())
+            digest.update(data)
+    hybrid = _network_parts(load_model(_hybrid_text()),
+                            np.linspace(-2.0, 2.0, 401))
+    digests["hybrid"] = hashlib.sha256(b"".join(hybrid.values()))
+    return {key: d.hexdigest() for key, d in digests.items()}
+
+
+def test_golden_bytes():
+    assert _digests() == GOLDEN_SHA256
 
 
 def test_hybrid_model_round_trips_text():
