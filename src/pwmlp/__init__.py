@@ -56,6 +56,7 @@ from .oracle import (
     kernel_values,
     matching_oracle,
     reproduction_degree,
+    sine_solve_coupling,
 )
 from .targets import TARGETS, TargetDef, get_target
 

@@ -43,6 +43,7 @@ import numpy as np
 from .activations import CUBIC, DEFAULT_SLOPE, RAMP, RELU, STEP, Activation
 from .errors import NumericalError, UsageError
 from .network import Network
+from .oracle import refine_coupling
 
 
 def thomas_solve(lower, diag, upper, rhs):
@@ -55,28 +56,29 @@ def thomas_solve(lower, diag, upper, rhs):
 
     lower[0] and upper[-1] are ignored.  No pivoting is performed, so
     the caller must supply a matrix where elimination cannot break down
-    (positive definite or diagonally dominant).
+    (positive definite or diagonally dominant).  The recurrences run on
+    Python floats, which round as float64 does and cost less to index
+    than numpy scalars.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    m = rhs.size
-    cp = np.empty(m)
-    dp = np.empty(m)
-    piv = diag[0]
+    lo, d, up, r = (np.asarray(v, dtype=np.float64).tolist()
+                    for v in (lower, diag, upper, rhs))
+    m = len(r)
+    cp = [0.0] * m
+    x = [0.0] * m
+    piv = d[0]
     if piv == 0.0:
         raise NumericalError("zero pivot in tridiagonal elimination")
-    cp[0] = upper[0] / piv if m > 1 else 0.0
-    dp[0] = rhs[0] / piv
+    cp[0] = up[0] / piv if m > 1 else 0.0
+    x[0] = r[0] / piv
     for i in range(1, m):
-        piv = diag[i] - lower[i] * cp[i - 1]
+        piv = d[i] - lo[i] * cp[i - 1]
         if piv == 0.0:
             raise NumericalError("zero pivot in tridiagonal elimination")
-        cp[i] = upper[i] / piv if i < m - 1 else 0.0
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / piv
-    x = np.empty(m)
-    x[m - 1] = dp[m - 1]
+        cp[i] = up[i] / piv if i < m - 1 else 0.0
+        x[i] = (r[i] - lo[i] * x[i - 1]) / piv
     for i in range(m - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+        x[i] = x[i] - cp[i] * x[i + 1]
+    return np.array(x)
 
 
 @dataclass(frozen=True)
@@ -92,28 +94,34 @@ def solve_bump_coupling(samples):
 
     The matrix (unit diagonal, 0.5 off-diagonals) is symmetric positive
     definite for every N -- its eigenvalues are 1 + cos(k pi / (N+2)) > 0
-    -- so the unpivoted Thomas sweep cannot break down.  It can still
-    overflow on huge rough data; a non-finite residual fails the check.
+    -- so the unpivoted Thomas sweep cannot break down.  Its condition
+    grows like N^2, so the sweep's g is refined (oracle.refine_coupling)
+    to about eps * max|g|.  The plain float residual of the result must
+    stay within 1e-10 * max(1, |f|); on huge rough data the sweep can
+    overflow, and a non-finite residual fails the check too.  Raises
+    NumericalError naming the first output column that fails.
     """
     f = samples.values
     m, q = f.shape
-    lower = np.full(m, 0.5)
-    diag = np.ones(m)
-    upper = np.full(m, 0.5)
-    g = np.empty((m, q))
+    bands = (np.full(m, 0.5), np.ones(m), np.full(m, 0.5))
+
+    def sweep(rhs):
+        return np.column_stack([thomas_solve(*bands, col) for col in rhs.T])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(q):
-            g[:, k] = thomas_solve(lower, diag, upper, f[:, k])
+        g = refine_coupling(sweep, f)
         overlap = g.copy()
         overlap[:-1] += 0.5 * g[1:]
         overlap[1:] += 0.5 * g[:-1]
-        residual_max = float(np.max(np.abs(overlap - f)))
+        residual = np.max(np.abs(overlap - f), axis=0)
     scale = max(1.0, float(np.max(np.abs(f))))
-    if not residual_max <= 1e-10 * scale:
-        raise NumericalError(
-            "coupling residual %.3e exceeds tolerance" % residual_max
-        )
-    return CouplingSolution(g=g, residual_max=residual_max)
+    for k in range(q):
+        if not residual[k] <= 1e-10 * scale:
+            raise NumericalError(
+                "coupling residual %.3e of output %d exceeds tolerance"
+                % (residual[k], k)
+            )
+    return CouplingSolution(g=g, residual_max=float(np.max(residual)))
 
 
 def _telescoped(samples):

@@ -3,10 +3,13 @@
 These are the ground truth the constructed networks are checked
 against: box kernels give the piecewise-constant model, triangle
 kernels the piecewise-linear interpolant, and cubic bump kernels the
-two smooth designs.  A dense LU solve of the bump-coupling system and a
-ridge-regularized least-squares kernel fit live here too, as
-independent cross-checks of the construction-side algorithms, and a
-moment audit of the polynomial degree each kernel's shifts reproduce.
+two smooth designs.  The every-knot bump weights solve the coupling
+system in its sine eigenbasis (O(N log N), refined to about eps * |g|),
+which shares no solver with the construction side's Thomas sweep; only
+the residual used by the refinement of both is common.  A brute-force
+dense LU of the same system and a ridge-regularized least-squares
+kernel fit live here too, as cross-checks at small sizes, and a moment
+audit of the polynomial degree each kernel's shifts reproduce.
 """
 
 import itertools
@@ -37,6 +40,10 @@ RIDGE = 1e-12
 # moment sums in reproduction_degree.
 MOMENT_POINTS = 64
 MOMENT_RTOL = 1e-12
+
+# Steps of iterative refinement after the first solve of the bump
+# coupling system, in the oracle and in the builder alike.
+REFINEMENT_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -311,12 +318,89 @@ def eval_tensor_product(models, corner_values, point):
     return s
 
 
+def _two_sum(a, b):
+    """a + b rounded, and its exact rounding error."""
+    s = a + b
+    back = s - a
+    return s, (a - (s - back)) + (b - back)
+
+
+def coupling_residual(g, f):
+    """r = f - A g for the coupling matrix A (unit diagonal, 0.5 on both
+    off-diagonals), column by column, to about eps * |r|.
+
+    0.5 * g is exact, so r_j is the sum of the four exact terms f_j,
+    -g_j, -0.5 g_{j-1} and -0.5 g_{j+1}; three TwoSums carry every
+    rounding error, and only their sum is rounded once more.
+    """
+    half = 0.5 * g
+    s, e1 = _two_sum(f, -g)
+    left = np.zeros_like(g)
+    left[1:] = half[:-1]
+    s, e2 = _two_sum(s, -left)
+    right = np.zeros_like(g)
+    right[:-1] = half[1:]
+    s, e3 = _two_sum(s, -right)
+    return s + (e1 + e2 + e3)
+
+
+def refine_coupling(solve, f):
+    """g = solve(f), then REFINEMENT_STEPS steps of iterative refinement:
+    solve A d = r for r = coupling_residual(g, f) and set g += d.
+
+    solve maps an (m, q) right-hand side to its (m, q) solution.
+    """
+    g = solve(f)
+    for _ in range(REFINEMENT_STEPS):
+        g = g + solve(coupling_residual(g, f))
+    return g
+
+
+def _dst1(x):
+    """Type-I discrete sine transform along axis 0,
+    S_k = sum_j x_j sin(pi j k / (m + 1)), from the real FFT of the odd
+    extension."""
+    m = x.shape[0]
+    z = np.zeros((2 * (m + 1),) + x.shape[1:])
+    z[1:m + 1] = x
+    z[m + 2:] = -x[::-1]
+    return -np.fft.rfft(z, axis=0)[1:m + 1].imag / 2.0
+
+
+def _sine_solve(f):
+    """One solve of A g = f in A's sine eigenbasis.  The eigenvalues
+    1 + cos(k pi / (m + 1)) are written 2 sin^2((m + 1 - k) pi / (2m + 2))
+    so the smallest keep their relative accuracy."""
+    m = f.shape[0]
+    lam = 2.0 * np.sin(np.pi * np.arange(m, 0, -1) / (2 * (m + 1))) ** 2
+    return (2.0 / (m + 1)) * _dst1(_dst1(f) / lam[:, None])
+
+
+def sine_solve_coupling(samples):
+    """Solve the bump-coupling system in its sine eigenbasis, O(N log N)
+    time and O(N) memory, refined with refine_coupling.
+
+    The reference solve of matching_oracle("cubic"): it shares no code
+    with the construction side's Thomas sweep, and both refined solves
+    reach the same g to within a few units in the last place of max|g|.
+    Raises NumericalError, naming the output column, when g overflows.
+    """
+    f = samples.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = refine_coupling(_sine_solve, f)
+    for k in range(g.shape[1]):
+        if not np.all(np.isfinite(g[:, k])):
+            raise NumericalError(
+                "coupling solve of output %d is not finite" % k)
+    return g
+
+
 def dense_solve_coupling(samples):
     """Brute-force LU solve of the bump-coupling system.
 
     The matrix has unit diagonal and 0.5 on both off-diagonals; this is
-    the cross-check oracle for the O(n) tridiagonal solver on the
-    construction side.
+    a cross-check of the two O(N) and O(N log N) solvers at small N,
+    where its (N+1)^2 matrix fits in memory.
     """
     n = samples.grid.n
     # Filled in place, so the matrix is the only (n+1)^2 array besides
@@ -382,9 +466,10 @@ def fit_kernel_weights(dense_samples, kernel, grid):
 def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
     """The reference model a given construction method must reproduce.
 
-    The coupled-bump coefficients are computed with the dense LU solve,
-    deliberately NOT with the construction-side tridiagonal solver, so a
-    network-vs-oracle comparison exercises both solvers end to end.
+    The coupled-bump coefficients are computed with the sine-transform
+    solve (sine_solve_coupling), deliberately NOT with the
+    construction-side tridiagonal solver, so a network-vs-oracle
+    comparison exercises both solvers end to end.
     """
     grid = samples.grid
     if method == "constant":
@@ -392,7 +477,7 @@ def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
     if method in ("linear-relu", "linear-ramp"):
         return PiecewiseOracle(grid, KernelKind.triangle(), samples.values)
     if method == "cubic":
-        g = dense_solve_coupling(samples)
+        g = sine_solve_coupling(samples)
         return PiecewiseOracle(grid, KernelKind.cubic_bump(slope), g)
     if method == "cubic-spaced":
         if grid.n % 2 != 0:

@@ -6,6 +6,7 @@ spawning subprocesses.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,32 @@ def test_build_overflow_exits_4_without_model(tmp_path, capsys, method,
                           "--csv", str(csv_path), "--out", str(out))
     assert code == 4 and "error:" in err and "Traceback" not in err
     assert text == "" and not out.exists()
+
+
+def test_build_overflow_names_the_coupling_column(tmp_path, capsys):
+    grid = KnotGrid.uniform(64)
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("x,f1,f2\n" + "".join(
+        "%r,1.0,%r\n" % (float(x), float(v))
+        for x, v in zip(grid.knots, 1e307 * _ALTERNATING)))
+    out = tmp_path / "m.json"
+    code, text, err = run(capsys, "build", "--method", "cubic", "--n", "64",
+                          "--csv", str(csv_path), "--out", str(out))
+    assert code == 4 and "coupling residual nan of output 1" in err
+    assert text == "" and not out.exists()
+
+
+def test_verify_cubic_at_32768_in_bounded_memory(capsys):
+    # the dense LU of the coupling system would need about 8.6 GB here
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--method", "cubic",
+                           "--n", "32768", "--target", "sin2pi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("PASS")
+    assert peak < 200e6
 
 
 def test_verify_overflowing_compiled_form_exits_4(tmp_path, capsys):

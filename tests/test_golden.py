@@ -53,11 +53,11 @@ GOLDEN_SHA256 = {
     "linear-ramp/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic/model":
-        "147ce01d7bc9346e382d106bd10f0830bfab638066bf8dad4a256cecc793907a",
+        "def1ee7f998fc43e03c0cae38b917e55ab9a4cbde622112200ffd462851a2b6c",
     "cubic/forward":
-        "eea771791356289e5ff7f9cec19c5f60b9630f05e8c91c8e38c0fa40bca97b1b",
+        "0ae59c55379745f190b687bff8e410d700d151d4b3eeff5373a9dd62b2feeab6",
     "cubic/compiled":
-        "46e883f4b1e0d420b9cfb6cb75bcafd4d51fd1cd9b651c49a32c0ccc4350613f",
+        "626fb56d18000736336e944d8f84b4c37655226fb89585804e4181105a03b0a9",
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic-spaced/model":

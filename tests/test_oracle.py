@@ -1,5 +1,8 @@
 """Unit tests for the kernel-sum reference models and their cross-checks."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,12 @@ from pwmlp import (
     kernel_values,
     matching_oracle,
     reproduction_degree,
+    sine_solve_coupling,
     solve_bump_coupling,
 )
+from pwmlp import oracle
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_kernel_kind_validation():
@@ -259,6 +266,70 @@ def test_dense_coupling_matches_thomas():
         dense = dense_solve_coupling(samples)
         sweep = solve_bump_coupling(samples).g
         assert np.max(np.abs(dense - sweep)) <= 1e-10
+        assert np.max(np.abs(dense - sine_solve_coupling(samples))) <= 1e-10
+
+
+def _exact_coupling(column):
+    """The coupling solve of one column in exact rational arithmetic,
+    rounded once to float64."""
+    half = Fraction(1, 2)
+    cp, x = [half], [Fraction(column[0])]
+    for f in column[1:]:
+        piv = 1 - half * cp[-1]
+        cp.append(half / piv)
+        x.append((Fraction(f) - half * x[-1]) / piv)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return [float(v) for v in x]
+
+
+def _coupling_cases(sizes):
+    """Uniform(-1, 1) noise and smooth data, two columns each."""
+    for n in sizes:
+        grid = KnotGrid.uniform(n)
+        yield TargetSamples(grid, np.random.default_rng(11).uniform(
+            -1.0, 1.0, (n + 1, 2)))
+        yield TargetSamples(grid, np.column_stack(
+            [np.sin(2.0 * np.pi * grid.knots), np.exp(grid.knots)]))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda samples: solve_bump_coupling(samples).g,
+    sine_solve_coupling,
+], ids=["thomas", "sine"])
+def test_refined_coupling_matches_exact_solve(solve):
+    # unrefined, the Thomas sweep is off by up to ~170 eps * max|g| here
+    for samples in _coupling_cases((1, 2, 3, 4, 7, 16, 31, 64, 127, 200, 255)):
+        exact = np.column_stack([_exact_coupling(col.tolist())
+                                 for col in samples.values.T])
+        dev = np.max(np.abs(solve(samples) - exact))
+        assert dev <= EPS * np.max(np.abs(exact))
+
+
+def test_refined_thomas_and_sine_coupling_agree():
+    for samples in _coupling_cases((1, 2, 7, 64, 513, 4096, 16384)):
+        thomas = solve_bump_coupling(samples).g
+        dev = np.max(np.abs(thomas - sine_solve_coupling(samples)))
+        assert dev <= 2.0 * EPS * np.max(np.abs(thomas))
+
+
+def test_sine_coupling_overflow_names_the_column():
+    values = np.column_stack([np.ones(65), 1e307 * (-1.0) ** np.arange(65)])
+    samples = TargetSamples(KnotGrid.uniform(64), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="output 1 is not finite"):
+            sine_solve_coupling(samples)
+
+
+def test_cubic_oracle_does_not_use_the_dense_solve(monkeypatch):
+    def refuse(samples):
+        raise AssertionError("dense LU on the proof path")
+
+    monkeypatch.setattr(oracle, "dense_solve_coupling", refuse)
+    samples = TargetSamples.from_function(KnotGrid.uniform(64), np.sin)
+    model = matching_oracle("cubic", samples)
+    assert np.array_equal(model.coefficients, sine_solve_coupling(samples))
 
 
 def test_fit_recovers_triangle_expansion():
