@@ -113,19 +113,19 @@ def test_verify_equivalence_flags_mismatched_pair():
 
 
 def test_cubic_on_rough_data_meets_the_contract_at_16384():
-    # uniform noise makes max|g| about 3.5e5 here; the refined coupling
-    # solves keep the network within 1e-9 of its reference model
-    for n, fits in ((16384, True), (65536, False)):
+    def noise(n):
         values = np.random.default_rng(11).uniform(-1.0, 1.0, n + 1)
-        samples = TargetSamples(KnotGrid.uniform(n), values)
-        if not fits:
-            # eps * max|g| nears the contract: the residual gate refuses
-            with pytest.raises(NumericalError, match="coupling residual"):
-                build_network("cubic", samples)
-            continue
-        net = build_network("cubic", samples)
-        report = verify_equivalence(net, matching_oracle("cubic", samples))
-        assert report.passed and report.tol == 1e-9
+        return TargetSamples(KnotGrid.uniform(n), values)
+
+    # max|g| is about 3.5e5 here; the refined coupling solves keep the
+    # network within 1e-9 of its reference model
+    samples = noise(16384)
+    report = verify_equivalence(build_network("cubic", samples),
+                                matching_oracle("cubic", samples))
+    assert report.passed and report.tol == 1e-9
+    # at N = 65536 eps * max|g| nears the contract: the residual gate refuses
+    with pytest.raises(NumericalError, match="coupling residual"):
+        build_network("cubic", noise(65536))
 
 
 def test_verify_equivalence_output_count_mismatch():

@@ -298,7 +298,7 @@ def _coupling_cases(sizes):
     sine_solve_coupling,
 ], ids=["thomas", "sine"])
 def test_refined_coupling_matches_exact_solve(solve):
-    # unrefined, the Thomas sweep is off by up to ~170 eps * max|g| here
+    # unrefined, the Thomas sweep is off by up to ~120 eps * max|g| here
     for samples in _coupling_cases((1, 2, 3, 4, 7, 16, 31, 64, 127, 200, 255)):
         exact = np.column_stack([_exact_coupling(col.tolist())
                                  for col in samples.values.T])
