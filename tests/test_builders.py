@@ -114,16 +114,6 @@ def test_bump_coupling_overflow_fails_the_residual_check():
             solve_bump_coupling(samples)
 
 
-def test_bump_coupling_residual_names_the_column():
-    values = np.column_stack([np.ones(65), 1e307 * (-1.0) ** np.arange(65)])
-    samples = TargetSamples(KnotGrid.uniform(64), values)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError,
-                           match="coupling residual nan of output 1 "):
-            solve_bump_coupling(samples)
-
-
 def test_bump_coupling_residual_reported():
     grid = KnotGrid.uniform(16)
     samples = TargetSamples.from_function(grid, lambda x: np.sin(5.0 * x))
@@ -302,6 +292,5 @@ def test_builder_overflow_is_a_numerical_error(case):
                             np.column_stack([np.ones(65), values]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError,
-                           match="output 1|coupling residual nan"):
+        with pytest.raises(NumericalError, match="output 1"):
             build_network(method, samples)
