@@ -11,7 +11,9 @@ version banner goes to standard error only.
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,28 +55,42 @@ def _parse_float(cell, where):
         raise FormatError("not a number: %r" % (cell,), path=where) from None
 
 
+def _numeric_rows(rows, csv_path):
+    """The nonblank rows after the header as a float array as wide as
+    the header.  Rows are numbered from 1 at the header."""
+    width = len(rows[0])
+    body = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
+    for i, row in body:
+        if len(row) != width:
+            raise FormatError("ragged rows: row %d has %d cells, the header "
+                              "%d" % (i, len(row), width), path=csv_path)
+    cells = itertools.chain.from_iterable(row for _, row in body)
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64)
+    except ValueError:
+        # walk the cells again only to name the bad one
+        for i, row in body:
+            for cell in row:
+                _parse_float(cell, "%s row %d" % (csv_path, i))
+        raise
+    return values.reshape(len(body), width)
+
+
 def _load_target_samples(csv_path, grid):
     """Knot samples from CSV: header x,f1..fq then exactly N+1 rows."""
     rows = _read_csv_rows(csv_path)
     header = rows[0]
     if len(header) < 2 or header[0].strip() != "x":
         raise FormatError("expected header x,f1,...", path=csv_path)
-    data = [
-        [_parse_float(c, "%s row %d" % (csv_path, i + 1)) for c in row]
-        for i, row in enumerate(rows[1:], start=1)
-        if row
-    ]
+    data = _numeric_rows(rows, csv_path)
     if len(data) != grid.n + 1:
         raise UsageError(
             "target CSV must supply exactly the N+1 knot values "
             "(%d rows for N=%d)" % (len(data), grid.n)
         )
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.shape[1] != len(header):
-        raise FormatError("ragged rows", path=csv_path)
-    if np.max(np.abs(arr[:, 0] - grid.knots)) > 1e-9:
+    if np.max(np.abs(data[:, 0] - grid.knots)) > 1e-9:
         raise UsageError("CSV x column does not match the knots of N=%d" % grid.n)
-    return TargetSamples(grid, arr[:, 1:])
+    return TargetSamples(grid, data[:, 1:])
 
 
 def _resolve_samples(args, grid):
@@ -190,6 +206,8 @@ def cmd_convergence(args):
         "target": args.target,
         "n_values": list(report.n_values),
         "fitted_order": None if report.zero_error else report.fitted_order,
+        "local_orders": [o if math.isfinite(o) else None
+                         for o in report.local_orders],
         "r_squared": None if report.zero_error else report.r_squared,
         "zero_error": report.zero_error,
     }
@@ -219,14 +237,7 @@ def cmd_fit_kernel(args):
     rows = _read_csv_rows(args.csv)
     if len(rows[0]) != 2 or rows[0][0].strip() != "x":
         raise FormatError("expected header x,y", path=args.csv)
-    data = [
-        (
-            _parse_float(r[0], "%s row %d" % (args.csv, i + 1)),
-            _parse_float(r[1], "%s row %d" % (args.csv, i + 1)),
-        )
-        for i, r in enumerate(rows[1:], start=1)
-        if r
-    ]
+    data = _numeric_rows(rows, args.csv)
     fit = fit_kernel_weights(data, kernel, grid)
     doc = {
         "kernel": args.kernel,

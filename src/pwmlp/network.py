@@ -9,8 +9,11 @@ compensated (Neumaier) accumulator: the ReLU constructions produce
 large cancelling responses, and plain summation would visibly erode
 the agreement with the piecewise-polynomial reference models.
 
-Models serialize to JSON with shortest-round-trip number formatting, so
-a save/load cycle reproduces evaluation results bit for bit.
+Models serialize to JSON as those arrays, one per field (format 2),
+with shortest-round-trip number formatting, so a save/load cycle
+reproduces the arrays and the evaluation results bit for bit.  The
+loader also reads format 1, which stored one object per neuron and per
+output, into the same arrays.
 """
 
 import json
@@ -426,33 +429,35 @@ def compile_network(net):
 
 
 def save_model(net):
-    """Serialize a network to JSON text.
+    """Serialize a network to JSON text in format 2.
 
-    Only the cubic's free coefficient a1 is stored; the dependent
-    coefficients are recomputed on load, which keeps the document small
-    and cannot drift because the reconstruction is deterministic.
+    The document holds the network's own arrays, one per field:
+    ``{"format": 2, "method", "n", "acts", "group", "weight", "bias",
+    "taps", "tap_bias"}``, with ``taps`` as one list per output column.
+    ``acts`` lists the distinct activations; only the cubic's free
+    coefficient a1 is stored, and the dependent coefficients are
+    recomputed on load, which cannot drift because the reconstruction
+    is deterministic.  Each key goes on its own line with its value
+    written without indent, so the C encoder writes every float by
+    ``repr`` and ``save_model(load_model(text)) == text``.
     """
-    acts = []
-    for act in net.acts:
-        acts.append({"kind": act.kind})
-        if act.kind == CUBIC:
-            acts[-1]["a1"] = act.cubic_coeffs[1]
-    neurons = [
-        {"weight": w, "bias": b, "activation": acts[g]}
-        for w, b, g in zip(net.weight.tolist(), net.bias.tolist(),
-                           net.group.tolist())
-    ]
-    doc = {
-        "method": net.method,
-        "n": net.n,
-        "neurons": neurons,
-        "outputs": [
-            {"weights": weights, "bias": bias}
-            for weights, bias in zip(net.taps.T.tolist(), net.tap_bias.tolist())
-        ],
-        "knots": {"n": net.n},
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
+            if act.kind == CUBIC else {"kind": act.kind}
+            for act in net.acts]
+    fields = (
+        ("format", 2),
+        ("method", net.method),
+        ("n", net.n),
+        ("acts", acts),
+        ("group", net.group.tolist()),
+        ("weight", net.weight.tolist()),
+        ("bias", net.bias.tolist()),
+        ("taps", net.taps.T.tolist()),
+        ("tap_bias", net.tap_bias.tolist()),
+    )
+    return "{\n%s\n}\n" % ",\n".join(
+        "  %s: %s" % (json.dumps(key), json.dumps(value, allow_nan=False))
+        for key, value in fields)
 
 
 def _require(cond, path, message):
@@ -466,25 +471,57 @@ def _number(value, path):
         path,
         "expected a number, got %r" % (value,),
     )
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise FormatError("number too large for a double",
+                          path=path) from None
     _require(math.isfinite(v), path, "number must be finite")
     return v
 
 
-def load_model(text):
-    """Parse JSON text produced by save_model back into a Network."""
+def _numbers(values, path):
+    """A list of finite JSON numbers as a float64 array.
+
+    One type scan, one conversion and one finiteness test; only when
+    one of them fails are the elements walked to name the bad index.
+    """
+    _require(isinstance(values, list), path, "expected a list of numbers")
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    return np.array([_number(v, "%s[%d]" % (path, i))
+                     for i, v in enumerate(values)], dtype=np.float64)
+
+
+def _require_length(values, size, what, path):
+    _require(len(values) == size, path, "expected %d entries, one per %s, "
+             "got %d" % (size, what, len(values)))
+
+
+def _activation(act, path):
+    _require(isinstance(act, dict), path, "missing activation")
+    kind = act.get("kind")
+    _require(kind in KINDS, path + ".kind", "unknown kind %r" % (kind,))
+    if kind != CUBIC:
+        _require("a1" not in act, path + ".a1",
+                 "a1 only applies to the cubic kind")
+        return Activation(kind)
+    a1 = _number(act.get("a1"), path + ".a1")
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise FormatError("invalid JSON: %s" % (exc,)) from exc
-    _require(isinstance(doc, dict), "$", "model document must be an object")
-    _require(isinstance(doc.get("method"), str), "method", "missing method tag")
-    n = doc.get("n")
-    _require(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-        "n",
-        "n must be a positive integer",
-    )
+        return Activation.cubic(a1)
+    except DomainError as exc:
+        raise FormatError(str(exc), path=path + ".a1") from exc
+
+
+def _format1_columns(doc, n):
+    """Columns of a format-1 document: one object per neuron and per
+    output, plus a knot grid description."""
     knots = doc.get("knots")
     _require(isinstance(knots, dict), "knots", "missing knot grid description")
     _require(knots.get("n") == n, "knots.n", "knot count disagrees with n")
@@ -504,29 +541,13 @@ def load_model(text):
         _require(isinstance(item, dict), path, "neuron must be an object")
         weight.append(_number(item.get("weight"), path + ".weight"))
         bias.append(_number(item.get("bias"), path + ".bias"))
-        act = item.get("activation")
-        _require(isinstance(act, dict), path + ".activation", "missing activation")
-        kind = act.get("kind")
-        _require(kind in KINDS, path + ".activation.kind", "unknown kind %r" % (kind,))
-        if kind == CUBIC:
-            a1 = _number(act.get("a1"), path + ".activation.a1")
-            key = (a1, math.copysign(1.0, a1))
-        else:
-            _require(
-                "a1" not in act,
-                path + ".activation.a1",
-                "a1 only applies to the cubic kind",
-            )
-            key = kind
+        act = _activation(item.get("activation"), path + ".activation")
+        key = act
+        if act.kind == CUBIC:
+            key = (act, math.copysign(1.0, act.cubic_coeffs[1]))
         if key not in index:
-            if kind == CUBIC:
-                try:
-                    acts.append(Activation.cubic(a1))
-                except DomainError as exc:
-                    raise FormatError(str(exc), path=path + ".activation.a1") from exc
-            else:
-                acts.append(Activation(kind))
-            index[key] = len(index)
+            index[key] = len(acts)
+            acts.append(act)
         group.append(index[key])
 
     raw_outputs = doc.get("outputs")
@@ -546,10 +567,72 @@ def load_model(text):
             path + ".weights",
             "expected %d weights, got %d" % (len(weight), len(weights)),
         )
-        taps.append([
-            _number(w, "%s.weights[%d]" % (path, i)) for i, w in enumerate(weights)
-        ])
+        taps.append(_numbers(weights, path + ".weights"))
         tap_bias.append(_number(item.get("bias"), path + ".bias"))
+    return weight, bias, acts, group, taps, tap_bias
 
+
+def _format2_columns(doc):
+    """Columns of a format-2 document, checked array by array."""
+    raw_acts = doc.get("acts")
+    _require(isinstance(raw_acts, list) and len(raw_acts) >= 1, "acts",
+             "model needs a nonempty activation list")
+    acts = [_activation(act, "acts[%d]" % i) for i, act in enumerate(raw_acts)]
+
+    weight = _numbers(doc.get("weight"), "weight")
+    m = weight.size
+    _require(m >= 1, "weight", "model needs at least one neuron")
+    bias = _numbers(doc.get("bias"), "bias")
+    _require_length(bias, m, "neuron", "bias")
+
+    group = doc.get("group")
+    _require(isinstance(group, list), "group", "expected a list of indices")
+    _require_length(group, m, "neuron", "group")
+    if not (set(map(type, group)) <= {int}
+            and 0 <= min(group) and max(group) < len(acts)):
+        for i, g in enumerate(group):
+            _require(type(g) is int and 0 <= g < len(acts), "group[%d]" % i,
+                     "expected an index into acts, got %r" % (g,))
+
+    raw_taps = doc.get("taps")
+    _require(isinstance(raw_taps, list) and len(raw_taps) >= 1, "taps",
+             "model needs a nonempty list of output columns")
+    taps = []
+    for k, column in enumerate(raw_taps):
+        taps.append(_numbers(column, "taps[%d]" % k))
+        _require_length(taps[-1], m, "neuron", "taps[%d]" % k)
+    tap_bias = _numbers(doc.get("tap_bias"), "tap_bias")
+    _require_length(tap_bias, len(taps), "output column", "tap_bias")
+    return weight, bias, acts, group, taps, tap_bias
+
+
+def load_model(text):
+    """Parse model JSON text back into a Network.
+
+    Reads format 2, written by save_model, and format 1 (no "format"
+    key), which stored one object per neuron and per output.  Both give
+    the same arrays, bit for bit, and a malformed field raises
+    FormatError naming its path.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise FormatError("invalid JSON: %s" % (exc,)) from exc
+    _require(isinstance(doc, dict), "$", "model document must be an object")
+    _require(isinstance(doc.get("method"), str), "method", "missing method tag")
+    n = doc.get("n")
+    _require(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+        "n",
+        "n must be a positive integer",
+    )
+    if "format" not in doc:
+        columns = _format1_columns(doc, n)
+    else:
+        fmt = doc["format"]
+        _require(type(fmt) is int and fmt == 2, "format",
+                 "unknown model format %r" % (fmt,))
+        columns = _format2_columns(doc)
+    weight, bias, acts, group, taps, tap_bias = columns
     return Network(weight, bias, tuple(acts), group, np.array(taps).T,
                    tap_bias, doc["method"], n)

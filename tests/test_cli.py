@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from format1 import format1_text, network_bytes
 
 from pwmlp import (
     DEFAULT_SLOPE,
@@ -46,9 +47,18 @@ def test_build_writes_model(tmp_path, capsys):
     assert code == 0
     assert "built linear-ramp n=8" in text
     doc = json.loads(out.read_text())
+    assert doc["format"] == 2
+    assert doc["method"] == "linear-ramp"
+    assert doc["n"] == 8
+    assert len(doc["weight"]) == len(doc["group"]) == 18
+    assert [len(column) for column in doc["taps"]] == [18]
+    # the same network in format 1: one object per neuron
+    net = load_model(out.read_text())
+    doc = json.loads(format1_text(net))
     assert doc["method"] == "linear-ramp"
     assert doc["n"] == 8
     assert len(doc["neurons"]) == 18
+    assert network_bytes(load_model(json.dumps(doc))) == network_bytes(net)
 
 
 def test_build_requires_exactly_one_target_source(tmp_path, capsys):
@@ -123,35 +133,66 @@ def test_eval_bad_inputs(tmp_path, capsys):
     assert code == 3 and "error:" in err
 
 
-def test_eval_rejects_tampered_model(tmp_path, capsys):
+def _built_model(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     run(capsys, "build", "--method", "linear-ramp", "--n", "2",
         "--target", "affine", "--out", str(model_path))
-    doc = json.loads(model_path.read_text())
-    doc["outputs"][0]["weights"].append(1.0)
+    return model_path
+
+
+def _eval_error(capsys, model_path, doc):
     model_path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "eval", str(model_path), "--grid", "3")
-    assert code == 3
-    assert "outputs[0].weights" in err
+    code, out, err = run(capsys, "eval", str(model_path), "--grid", "3")
+    assert code == 3 and out == "" and "Traceback" not in err
+    return err
+
+
+def test_eval_rejects_tampered_model(tmp_path, capsys):
+    model_path = _built_model(tmp_path, capsys)
+    doc = json.loads(format1_text(load_model(model_path.read_text())))
+    doc["outputs"][0]["weights"].append(1.0)
+    assert "outputs[0].weights" in _eval_error(capsys, model_path, doc)
+
+
+def test_eval_rejects_tampered_format2_model(tmp_path, capsys):
+    model_path = _built_model(tmp_path, capsys)
+    doc = json.loads(model_path.read_text())
+    doc["taps"][0].append(1.0)
+    assert "taps[0]" in _eval_error(capsys, model_path, doc)
+
+
+def test_eval_huge_integer_in_model_exits_3(tmp_path, capsys):
+    # float(10 ** 400) raises OverflowError, not a package error
+    model_path = _built_model(tmp_path, capsys)
+    text = model_path.read_text()
+    doc = json.loads(text)
+    doc["bias"][2] = 10 ** 400
+    assert "bias[2]" in _eval_error(capsys, model_path, doc)
+    doc = json.loads(format1_text(load_model(text)))
+    doc["neurons"][2]["weight"] = -10 ** 400
+    assert "neurons[2].weight" in _eval_error(capsys, model_path, doc)
 
 
 def test_eval_overflowing_model_exits_4_without_output(tmp_path, capsys):
     # one relu unit whose tap product overflows: the output is not a
     # number, which must end in exit 4, not in "0.5,nan" and exit 0
     model_path = tmp_path / "m.json"
-    model_path.write_text(json.dumps({
-        "method": "linear-relu", "n": 1, "knots": {"n": 1},
-        "neurons": [{"weight": 1e300, "bias": 0.0,
-                     "activation": {"kind": "relu"}}],
-        "outputs": [{"weights": [1e300], "bias": 0.0}],
-    }))
-    out_path = tmp_path / "vals.csv"
-    code, out, err = run(capsys, "eval", str(model_path), "--grid", "0.5",
-                         "--out", str(out_path))
-    assert code == 4 and "x=0.5" in err
-    assert out == "" and not out_path.exists()
-    code, out, _ = run(capsys, "eval", str(model_path), "--grid", "0.5")
-    assert code == 4 and out == ""
+    v1 = {"method": "linear-relu", "n": 1, "knots": {"n": 1},
+          "neurons": [{"weight": 1e300, "bias": 0.0,
+                       "activation": {"kind": "relu"}}],
+          "outputs": [{"weights": [1e300], "bias": 0.0}]}
+    v2 = {"format": 2, "method": "linear-relu", "n": 1,
+          "acts": [{"kind": "relu"}], "group": [0], "weight": [1e300],
+          "bias": [0.0], "taps": [[1e300]], "tap_bias": [0.0]}
+    for doc in (v1, v2):
+        model_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "vals.csv"
+        code, out, err = run(capsys, "eval", str(model_path), "--grid",
+                             "0.5", "--out", str(out_path))
+        assert code == 4 and "x=0.5" in err
+        assert out == "" and not out_path.exists()
+        code, out, _ = run(capsys, "eval", str(model_path), "--grid", "0.5")
+        assert code == 4 and out == ""
 
 
 def test_verify_pass_and_exit_zero(capsys):
@@ -286,7 +327,14 @@ def test_csv_sample_errors(tmp_path, capsys):
     garbled.write_text("x,f1\n0.0,one\n0.5,2.0\n1.0,3.0\n")
     code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
                        "--csv", str(garbled), "--out", str(out))
-    assert code == 3 and "not a number" in err
+    assert code == 3 and "not a number" in err and "row 2" in err
+
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("x,f1\n0.0,1.0\n0.5\n1.0,3.0\n")
+    code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
+                       "--csv", str(ragged), "--out", str(out))
+    assert code == 3 and "ragged rows: row 3" in err
+    assert not out.exists()
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -314,6 +362,10 @@ def test_convergence_outputs(tmp_path, capsys):
     assert doc["zero_error"] is False
     assert 1.8 <= doc["fitted_order"] <= 2.2
     assert doc["r_squared"] > 0.97
+    assert len(doc["local_orders"]) == 2
+    assert all(1.8 <= o <= 2.2 for o in doc["local_orders"])
+    assert list(doc)[:5] == ["method", "target", "n_values", "fitted_order",
+                             "local_orders"]
 
 
 def test_convergence_zero_error_path(tmp_path, capsys):
@@ -326,6 +378,9 @@ def test_convergence_zero_error_path(tmp_path, capsys):
     doc = json.loads((tmp_path / "flat.json").read_text())
     assert doc["zero_error"] is True
     assert doc["fitted_order"] is None and doc["r_squared"] is None
+    # NaN local orders are written as null, not as a NaN literal
+    assert doc["local_orders"] == [None, None]
+    assert "NaN" not in (tmp_path / "flat.json").read_text()
 
 
 def test_convergence_bad_n_list(tmp_path, capsys):
@@ -367,6 +422,16 @@ def test_fit_kernel_underdetermined(tmp_path, capsys):
                        "--csv", str(csv_path),
                        "--out", str(tmp_path / "f.json"))
     assert code == 2 and "underdetermined" in err
+
+
+def test_fit_kernel_ragged_csv(tmp_path, capsys):
+    csv_path = tmp_path / "ragged.csv"
+    for body in ("0.0,1.0\n0.5\n1.0,3.0\n", "0.0,1.0\n0.5,2.0,9.0\n"):
+        csv_path.write_text("x,y\n" + body)
+        code, _, err = run(capsys, "fit-kernel", "box", "--n", "1",
+                           "--csv", str(csv_path),
+                           "--out", str(tmp_path / "f.json"))
+        assert code == 3 and "ragged rows: row 3" in err
 
 
 def test_fit_kernel_missing_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Golden bytes: model JSON, forward_grid output and the compiled form of
+"""Golden bytes: model JSON (format 2, and format 1 as the fixture writer
+in format1.py writes it), forward_grid output and the compiled form of
 45 built networks and one hybrid model, pinned by one sha256 per method
 and part, the hybrid model counting as one more method.
 
@@ -11,6 +12,7 @@ import hashlib
 import json
 
 import numpy as np
+from format1 import format1_text, network_bytes
 
 from pwmlp import (
     METHODS,
@@ -25,10 +27,12 @@ from pwmlp import (
     save_model,
 )
 
-PARTS = ("model", "forward", "compiled", "errors")
+PARTS = ("model", "model-v1", "forward", "compiled", "errors")
 
 GOLDEN_SHA256 = {
     "constant/model":
+        "29b1fe7fc93dd22d2b286af4b401a854c72fa04637719a9bfab90d792fc9300b",
+    "constant/model-v1":
         "4e38cb05c3c79a11ee54315a602a58adaee4fced81bc507fc7a6596cdaab09ee",
     "constant/forward":
         "98e8986ec0733168b6a5874710ad47edb4f4fdb73ec9ac76600819abd5f85ad0",
@@ -37,6 +41,8 @@ GOLDEN_SHA256 = {
     "constant/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-relu/model":
+        "605957c05b7e144a9d9dc254a098b273ae3662926eab69bcbffbf2cf504d3977",
+    "linear-relu/model-v1":
         "f34fde0ddf7c44a786f58b4ef4a632ec55e469083aa69c11437585977f00ecbc",
     "linear-relu/forward":
         "4f6ff729fa82a918de783b11d47817f423ebecc2bd5ca60d890d9681e8741f19",
@@ -45,6 +51,8 @@ GOLDEN_SHA256 = {
     "linear-relu/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-ramp/model":
+        "c5e88e83058b347eea15fdf01c972a33d700b78651e82bf215a7f94d0d717696",
+    "linear-ramp/model-v1":
         "577020f3e168120d8b9b30d0539398f6d9ebf7dd860a273da9815ca5d43be51e",
     "linear-ramp/forward":
         "f11fa86fbcb0f6a91d61e5b66d4b946885fab692010c5c80ff3f41bda35ddd99",
@@ -53,6 +61,8 @@ GOLDEN_SHA256 = {
     "linear-ramp/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic/model":
+        "d11cf2d9582c4176130d02530d65df4a6b3e689b57033d45c3a0333c510c3686",
+    "cubic/model-v1":
         "def1ee7f998fc43e03c0cae38b917e55ab9a4cbde622112200ffd462851a2b6c",
     "cubic/forward":
         "0ae59c55379745f190b687bff8e410d700d151d4b3eeff5373a9dd62b2feeab6",
@@ -61,6 +71,8 @@ GOLDEN_SHA256 = {
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic-spaced/model":
+        "b7989f44073620f8fd18a79976ac01d269012a8d873524e8256ad0519ce49077",
+    "cubic-spaced/model-v1":
         "cbec746bb3a40695aa9b3b45840ae22fed86c88ee40731d260624531f94e4e8a",
     "cubic-spaced/forward":
         "2a4bf7247e13639ca5ac23ed4f627223a99b1bad5386544c1ec6bc9e8fc5f629",
@@ -69,6 +81,8 @@ GOLDEN_SHA256 = {
     "cubic-spaced/errors":
         "24282b07cbbec270170fbd2c82aebb605f443ae6c08cc0d0ccf67be6402f5cd7",
     "hybrid/model":
+        "2158b62862f1d423f15e88448eeb6b54fa9e5b494ca9ed8eb82d1dfba89cf7fd",
+    "hybrid/model-v1":
         "1d7542cb54b0b197f1d3603f05157eff91b7c5495363ea1374be96124531168e",
     "hybrid/forward":
         "84e3683df6ca02c20a8dbac648d4337baee94f07410fef5261401369b3ba6588",
@@ -82,8 +96,8 @@ _MIX = (1e300, -0.0, -1e300, 5e-324, -1e300, 0.0, 1e300, -5e-324)
 
 
 def _hybrid_text():
-    """A model no builder writes: all four kinds interleaved, cubic slopes
-    0.5 and 0.0, and a1 = 0.0 next to a1 = -0.0."""
+    """A format-1 model no builder writes: all four kinds interleaved,
+    cubic slopes 0.5 and 0.0, and a1 = 0.0 next to a1 = -0.0."""
     acts = [{"kind": "step"}, {"kind": "cubic", "a1": 0.5},
             {"kind": "relu"}, {"kind": "cubic", "a1": -0.0},
             {"kind": "ramp"}, {"kind": "cubic", "a1": 0.0},
@@ -127,6 +141,7 @@ def _forward_bytes(net, xs):
 
 def _network_parts(net, xs):
     return {"model": save_model(net).encode(),
+            "model-v1": format1_text(net).encode(),
             "forward": _forward_bytes(net, xs),
             "compiled": _compiled_bytes(net)}
 
@@ -174,5 +189,10 @@ def test_golden_bytes():
 
 
 def test_hybrid_model_round_trips_text():
-    text = _hybrid_text()
+    v1 = _hybrid_text()
+    net = load_model(v1)
+    assert format1_text(net) == v1
+    text = save_model(net)
+    assert text.startswith('{\n  "format": 2,\n')
     assert save_model(load_model(text)) == text
+    assert network_bytes(load_model(text)) == network_bytes(net)

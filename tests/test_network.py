@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from format1 import format1_text, network_bytes
 
 from pwmlp import (
     METHODS,
@@ -410,16 +411,52 @@ def test_save_load_round_trip_bitwise():
 
 
 def test_save_stores_only_free_cubic_coefficient():
-    doc = json.loads(save_model(_built()))
-    act = doc["neurons"][0]["activation"]
+    net = _built()
+    doc = json.loads(save_model(net))
+    assert doc["acts"] == [{"kind": "cubic", "a1": net.acts[0].cubic_coeffs[1]}]
+    doc2 = json.loads(save_model(_built("linear-relu")))
+    assert doc2["acts"] == [{"kind": "relu"}]
+    # format 1 stored a1 on every neuron; the rest is recomputed on load
+    v1 = json.loads(format1_text(net))
+    act = v1["neurons"][0]["activation"]
     assert act["kind"] == "cubic"
     assert set(act) == {"kind", "a1"}
-    doc2 = json.loads(save_model(_built("linear-relu")))
-    assert set(doc2["neurons"][0]["activation"]) == {"kind"}
+    assert load_model(json.dumps(v1)).acts == net.acts
+    v1 = json.loads(format1_text(_built("linear-relu")))
+    assert set(v1["neurons"][0]["activation"]) == {"kind"}
 
 
-def _doc():
-    return json.loads(save_model(_built("linear-ramp", 4)))
+def test_save_writes_one_key_per_line():
+    text = save_model(_built("linear-ramp", 4))
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+    keys = [json.loads("{%s}" % line.rstrip(",")) for line in lines[1:-1]]
+    assert [next(iter(k)) for k in keys] == [
+        "format", "method", "n", "acts", "group", "weight", "bias", "taps",
+        "tap_bias"]
+    assert keys[0] == {"format": 2}
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("method", METHODS)
+def test_format1_loads_to_the_format2_arrays(method, n):
+    grid = KnotGrid.uniform(n)
+    rng = np.random.default_rng(n)
+    values = np.column_stack([np.sin(3.0 * grid.knots),
+                              rng.uniform(-1.0, 1.0, n + 1)])
+    values[0, 1] = -0.0
+    net = build_network(method, TargetSamples(grid, values), 0.0)
+    v2 = load_model(save_model(net))
+    assert network_bytes(load_model(format1_text(net))) == network_bytes(v2)
+    assert network_bytes(v2) == network_bytes(net)
+
+
+def _doc(method="linear-ramp"):
+    return json.loads(format1_text(_built(method, 4)))
+
+
+def _doc2(method="linear-ramp"):
+    return json.loads(save_model(_built(method, 4)))
 
 
 def _expect_format_error(doc, fragment):
@@ -467,15 +504,120 @@ def test_load_rejects_malformed_documents():
     _expect_format_error(doc, "outputs[0].weights[3]")
 
 
+def test_load_rejects_malformed_format2_documents():
+    doc = _doc2()
+    del doc["method"]
+    _expect_format_error(doc, "method")
+
+    doc = _doc2()
+    doc["n"] = 0
+    _expect_format_error(doc, "n")
+
+    doc = _doc2()
+    doc["acts"][0]["kind"] = "quadratic"
+    _expect_format_error(doc, "acts[0].kind")
+
+    doc = _doc2()
+    doc["weight"][2] = "fast"
+    _expect_format_error(doc, "weight[2]")
+
+    doc = _doc2()
+    doc["bias"][0] = True
+    _expect_format_error(doc, "bias[0]")
+
+    doc = _doc2()
+    doc["taps"][0] = doc["taps"][0][:-1]
+    _expect_format_error(doc, "taps[0]")
+
+    doc = _doc2()
+    doc["taps"][0][3] = None
+    _expect_format_error(doc, "taps[0][3]")
+
+
+def test_load_rejects_bad_format2_arrays():
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        text = save_model(_built("linear-ramp", 4))
+        doc = json.loads(text)
+        doc["weight"][1] = 0.125
+        text = json.dumps(doc).replace("0.125", literal, 1)
+        with pytest.raises(FormatError, match=r"weight\[1\]: .*finite"):
+            load_model(text)
+
+    for bad in (1, -1, True, 0.0, None):
+        doc = _doc2()
+        doc["group"][5] = bad
+        _expect_format_error(doc, "group[5]")
+
+    for name in ("bias", "group", "tap_bias"):
+        doc = _doc2()
+        doc[name].append(doc[name][0])
+        _expect_format_error(doc, name)
+    # weight sets the neuron count the other columns are held to
+    doc = _doc2()
+    doc["weight"].append(1.0)
+    _expect_format_error(doc, "bias: expected 11 entries, one per neuron")
+    doc = _doc2()
+    doc["taps"].append(doc["taps"][0][:-1])
+    _expect_format_error(doc, "taps[1]")
+    for name in ("acts", "weight", "taps"):
+        doc = _doc2()
+        doc[name] = []
+        _expect_format_error(doc, name)
+
+    for fmt in (1, 3, "2", 2.0, True, None):
+        doc = _doc2()
+        doc["format"] = fmt
+        _expect_format_error(doc, "format")
+
+
+def test_load_names_huge_integers():
+    doc = _doc2()
+    doc["weight"][1] = 10 ** 400
+    _expect_format_error(doc, "weight[1]")
+    doc = _doc2("cubic")
+    doc["acts"][0]["a1"] = 10 ** 400
+    _expect_format_error(doc, "acts[0].a1")
+    doc = _doc()
+    doc["neurons"][1]["bias"] = -10 ** 400
+    _expect_format_error(doc, "neurons[1].bias")
+    doc = _doc()
+    doc["outputs"][0]["weights"][2] = 10 ** 400
+    _expect_format_error(doc, "outputs[0].weights[2]")
+
+
 def test_load_rejects_misplaced_or_bad_a1():
     doc = _doc()
     doc["neurons"][0]["activation"]["a1"] = 0.5
     _expect_format_error(doc, "a1")
 
-    doc = json.loads(save_model(_built("cubic", 4)))
+    doc = _doc("cubic")
     doc["neurons"][0]["activation"]["a1"] = 0.9
     _expect_format_error(doc, "a1")
 
-    doc = json.loads(save_model(_built("cubic", 4)))
+    doc = _doc("cubic")
     del doc["neurons"][0]["activation"]["a1"]
     _expect_format_error(doc, "a1")
+
+
+def test_load_rejects_misplaced_or_bad_format2_a1():
+    doc = _doc2()
+    doc["acts"][0]["a1"] = 0.5
+    _expect_format_error(doc, "acts[0].a1")
+
+    doc = _doc2("cubic")
+    doc["acts"][0]["a1"] = 0.9
+    _expect_format_error(doc, "acts[0].a1")
+
+    doc = _doc2("cubic")
+    del doc["acts"][0]["a1"]
+    _expect_format_error(doc, "acts[0].a1")
+
+
+def test_load_keeps_the_sign_of_a_zero_a1():
+    net = Network([1.0, 1.0], [0.0, 0.0],
+                  (Activation.cubic(0.0), Activation.cubic(-0.0)), [0, 1],
+                  [[1.0], [1.0]], [0.0], "constant", 1)
+    for text in (save_model(net), format1_text(net)):
+        loaded = load_model(text)
+        assert network_bytes(loaded) == network_bytes(net)
+        assert save_model(loaded) == save_model(net)
