@@ -562,11 +562,7 @@ def _format1_columns(doc, n):
         _require(isinstance(item, dict), path, "output tap must be an object")
         weights = item.get("weights")
         _require(isinstance(weights, list), path + ".weights", "missing weight list")
-        _require(
-            len(weights) == len(weight),
-            path + ".weights",
-            "expected %d weights, got %d" % (len(weight), len(weights)),
-        )
+        _require_length(weights, len(weight), "neuron", path + ".weights")
         taps.append(_numbers(weights, path + ".weights"))
         tap_bias.append(_number(item.get("bias"), path + ".bias"))
     return weight, bias, acts, group, taps, tap_bias
