@@ -1,7 +1,8 @@
 """Golden bytes: model JSON (format 2, and format 1 as the fixture writer
 in format1.py writes it), forward_grid output and the compiled form of
-45 built networks and one hybrid model, pinned by one sha256 per method
-and part, the hybrid model counting as one more method.
+45 built networks and one hybrid model, and eval_oracle_grid output of
+the matching oracles, pinned by one sha256 per method and part, the
+hybrid model counting as one more method.
 
 A change to how networks are stored or built must leave every pin
 alone.  A change that moves bytes on purpose re-pins only the parts it
@@ -22,12 +23,14 @@ from pwmlp import (
     TargetSamples,
     build_network,
     compile_network,
+    eval_oracle_grid,
     forward_grid,
     load_model,
+    matching_oracle,
     save_model,
 )
 
-PARTS = ("model", "model-v1", "forward", "compiled", "errors")
+PARTS = ("model", "model-v1", "forward", "compiled", "errors", "oracle")
 
 GOLDEN_SHA256 = {
     "constant/model":
@@ -40,6 +43,8 @@ GOLDEN_SHA256 = {
         "ad17072a226b5a9dc26a12f11228cd958221d81033ef9cc3f18aede79c2abe61",
     "constant/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "constant/oracle":
+        "ca0da77d1ee500273dc4491f048220656b1ad35a09064f420cf3989b00020584",
     "linear-relu/model":
         "605957c05b7e144a9d9dc254a098b273ae3662926eab69bcbffbf2cf504d3977",
     "linear-relu/model-v1":
@@ -50,6 +55,8 @@ GOLDEN_SHA256 = {
         "1c16b4e934fa2affdc7db9ab1f6998096c2eb563877926a5e5ee8d62316fb5cd",
     "linear-relu/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "linear-relu/oracle":
+        "403e7baabccfd3d1cf34cb553ec92e540ad9ebfa6852701edeaad16b036d0e4b",
     "linear-ramp/model":
         "c5e88e83058b347eea15fdf01c972a33d700b78651e82bf215a7f94d0d717696",
     "linear-ramp/model-v1":
@@ -60,6 +67,8 @@ GOLDEN_SHA256 = {
         "d7df16e3c75b7cd4ef277e7ef81d541704b203386f7e239ddab36fef6a2c0d61",
     "linear-ramp/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "linear-ramp/oracle":
+        "cac19fd0fc6626f04e22e6303bf58b185792adeb4013a9e05f0223882463a533",
     "cubic/model":
         "d11cf2d9582c4176130d02530d65df4a6b3e689b57033d45c3a0333c510c3686",
     "cubic/model-v1":
@@ -70,6 +79,8 @@ GOLDEN_SHA256 = {
         "626fb56d18000736336e944d8f84b4c37655226fb89585804e4181105a03b0a9",
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "cubic/oracle":
+        "2367ac4380bbf45e1263d1bebf90b76058df334fc1eedddb35993524bdfad3a6",
     "cubic-spaced/model":
         "b7989f44073620f8fd18a79976ac01d269012a8d873524e8256ad0519ce49077",
     "cubic-spaced/model-v1":
@@ -80,6 +91,8 @@ GOLDEN_SHA256 = {
         "4c3d7799ceda118d5a58ca861db7e5d2d44ca35550bc15d926445d0270f21271",
     "cubic-spaced/errors":
         "24282b07cbbec270170fbd2c82aebb605f443ae6c08cc0d0ccf67be6402f5cd7",
+    "cubic-spaced/oracle":
+        "631bc4b862022a8cb900954409fda05a17c2d16c4361a277c3722826cd04bacd",
     "hybrid/model":
         "2158b62862f1d423f15e88448eeb6b54fa9e5b494ca9ed8eb82d1dfba89cf7fd",
     "hybrid/model-v1":
@@ -139,6 +152,15 @@ def _forward_bytes(net, xs):
         return b"not finite"
 
 
+def _oracle_bytes(method, samples, xs, slope):
+    # An oracle that cannot be built is pinned by its error class.
+    try:
+        model = matching_oracle(method, samples, slope)
+    except PwmlpError as exc:
+        return type(exc).__name__.encode()
+    return eval_oracle_grid(model, xs[(xs >= 0.0) & (xs <= 1.0)]).tobytes()
+
+
 def _network_parts(net, xs):
     return {"model": save_model(net).encode(),
             "model-v1": format1_text(net).encode(),
@@ -162,7 +184,9 @@ def _cases():
 
 def _digests():
     """sha256 per "method/part" (build-error class names are the
-    "errors" part), with "hybrid" as the hand-written model's method."""
+    "errors" part, the oracle is evaluated on the points of the network
+    grid that lie in [0, 1]), with "hybrid" as the hand-written model's
+    method."""
     digests = {"%s/%s" % (m, part): hashlib.sha256()
                for m in METHODS for part in PARTS}
     for label, samples, xs, slope in _cases():
@@ -173,6 +197,7 @@ def _digests():
             parts = {"errors": type(exc).__name__.encode()}
         else:
             parts = _network_parts(net, xs)
+        parts["oracle"] = _oracle_bytes(method, samples, xs, slope)
         for part, data in parts.items():
             digest = digests["%s/%s" % (method, part)]
             digest.update(label.encode())
