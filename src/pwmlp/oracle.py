@@ -3,13 +3,16 @@
 These are the ground truth the constructed networks are checked
 against: box kernels give the piecewise-constant model, triangle
 kernels the piecewise-linear interpolant, and cubic bump kernels the
-two smooth designs.  The every-knot bump weights solve the coupling
-system in its sine eigenbasis (O(N log N), refined to about eps * |g|),
-which shares no solver with the construction side's Thomas sweep; only
-the residual used by the refinement of both is common.  A brute-force
-dense LU of the same system and a ridge-regularized least-squares
-kernel fit live here too, as cross-checks at small sizes, and a moment
-audit of the polynomial degree each kernel's shifts reproduce.
+two smooth designs.  One locality window of kernel rows and weights
+serves every evaluation: the grid path, a single point, and each axis
+of the tensor-product sum, whose p = 1 case is the grid path bit for
+bit.  The every-knot bump weights solve the coupling system in its sine
+eigenbasis (O(N log N), refined to about eps * |g|), which shares no
+solver with the construction side's Thomas sweep; only the residual
+used by the refinement of both is common.  A brute-force dense LU of
+the same system and a ridge-regularized least-squares kernel fit live
+here too, as cross-checks at small sizes, and a moment audit of the
+polynomial degree each kernel's shifts reproduce.
 """
 
 import itertools
@@ -30,6 +33,11 @@ KERNEL_KINDS = (BOX, TRIANGLE, CUBIC_BUMP)
 
 EVERY_KNOT = "every-knot"
 EVERY_OTHER_KNOT = "every-other-knot"
+
+# Each kernel's support lies within |u| <= radius (the box's is [0, 1)),
+# and each spacing centres its kernels on every stride-th knot.
+_SUPPORT_RADIUS = {BOX: 1, TRIANGLE: 1, CUBIC_BUMP: 2}
+_STRIDE = {EVERY_KNOT: 1, EVERY_OTHER_KNOT: 2}
 
 # Ridge added to the normal equations in fit_kernel_weights.  Large
 # enough to repair near-collinear boundary kernels, small enough not to
@@ -124,7 +132,7 @@ def reproduction_degree(kernel, stride=1):
     stride = int(stride)
     if stride < 1:
         raise UsageError("kernel stride must be a positive integer")
-    radius = 1 if kernel.kind in (BOX, TRIANGLE) else 2
+    radius = _SUPPORT_RADIUS[kernel.kind]
     u = (np.arange(MOMENT_POINTS * stride) + 0.5) / MOMENT_POINTS
     # every j with |u - stride*j| <= radius for u in [0, stride)
     offsets = stride * np.arange(-radius, radius + 2)[None, :] - u[:, None]
@@ -158,14 +166,15 @@ class PiecewiseOracle:
         c = np.asarray(self.coefficients, dtype=np.float64)
         if c.ndim == 1:
             c = c.reshape(-1, 1)
-        if self.spacing == EVERY_KNOT:
-            rows = self.grid.n + 1
-        elif self.spacing == EVERY_OTHER_KNOT:
-            if self.grid.n % 2 != 0:
-                raise UsageError("every-other-knot spacing requires even n")
-            rows = self.grid.n // 2 + 1
-        else:
+        stride = _STRIDE.get(self.spacing)
+        if stride is None:
             raise UsageError("unknown spacing %r" % (self.spacing,))
+        if self.grid.n % stride != 0:
+            raise UsageError("%s spacing requires n to be a multiple of %d"
+                             % (self.spacing, stride))
+        if self.kernel.kind == BOX and stride != 1:
+            raise UsageError("the box kernel needs every-knot spacing")
+        rows = self.grid.n // stride + 1
         if c.ndim != 2 or c.shape[0] != rows:
             raise UsageError(
                 "expected %d coefficient rows, got %r" % (rows, c.shape)
@@ -179,44 +188,36 @@ class PiecewiseOracle:
         return self.coefficients.shape[1]
 
 
-def _active_terms(model, x):
-    """(row, weight) pairs for the kernels whose support can contain x.
+def _window(model, xs):
+    """Rows and weights of the kernels whose support can contain each x.
 
-    Rows ascend; the window around floor(x/h) is padded by one knot so a
-    downward-rounded floor never drops an active kernel.  For the box
-    model the single covering box is returned, corrected against the
-    knot array in both directions (x * n can round past a knot either
-    way), with the last box closed at x = 1 so the model agrees with the
-    step-sum network there.
+    Returns two (len(xs), width) arrays, rows ascending along each line.
+    The window is padded by one row on both sides of the support, so a
+    floor of x/h rounded by one either way never drops an active kernel;
+    rows outside the model are clipped into range and get weight 0, so
+    their terms leave a sum that starts at +0.0 unchanged.
+    For the box model the single covering box is returned, corrected
+    against the knot array in both directions (x * n can round past a
+    knot either way), with the last box closed at x = 1 so the model
+    agrees with the step-sum network there.
     """
-    grid = model.grid
-    n = grid.n
-    knots = grid.knots
+    n = model.grid.n
+    knots = model.grid.knots
     inv = float(n)
-    jc = int(x * inv)
+    jc = (xs * inv).astype(np.int64)
     if model.kernel.kind == BOX:
-        j = min(jc, n - 1)
-        if j > 0 and x < knots[j]:
-            j -= 1
-        elif j < n - 1 and x >= knots[j + 1]:
-            j += 1
-        return [(j, 1.0)]
-    if model.spacing == EVERY_KNOT:
-        radius = 1 if model.kernel.kind == TRIANGLE else 2
-        lo = max(jc - radius, 0)
-        hi = min(jc + radius + 1, n)
-        return [
-            (j, eval_kernel(model.kernel, (x - knots[j]) * inv))
-            for j in range(lo, hi + 1)
-        ]
-    rows = model.coefficients.shape[0]
-    rc = jc // 2
-    lo = max(rc - 2, 0)
-    hi = min(rc + 2, rows - 1)
-    return [
-        (r, eval_kernel(model.kernel, (x - knots[2 * r]) * inv))
-        for r in range(lo, hi + 1)
-    ]
+        j = np.minimum(jc, n - 1)
+        j = j - ((j > 0) & (xs < knots[j]))
+        j = j + ((j < n - 1) & (xs >= knots[j + 1]))
+        return j[:, None], np.ones((xs.size, 1))
+    stride = _STRIDE[model.spacing]
+    half = _SUPPORT_RADIUS[model.kernel.kind] // stride
+    rows = (jc // stride)[:, None] + np.arange(-half, half + 2)
+    last = model.coefficients.shape[0] - 1
+    valid = (rows >= 0) & (rows <= last)
+    rows = np.clip(rows, 0, last)
+    u = (xs[:, None] - knots[stride * rows]) * inv
+    return rows, kernel_values(model.kernel, u) * valid
 
 
 def eval_oracle(model, x):
@@ -224,55 +225,21 @@ def eval_oracle(model, x):
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise DomainError("oracle evaluation point %r outside [0, 1]" % (x,))
-    terms = _active_terms(model, x)
-    coef = model.coefficients
-    out = np.empty(model.q, dtype=np.float64)
-    for k in range(model.q):
-        s = 0.0
-        for j, w in terms:
-            s = s + coef[j, k] * w
-        out[k] = s
-    return out
+    return eval_oracle_grid(model, np.array([x]))[0]
 
 
 def eval_oracle_grid(model, grid):
-    """Vectorized eval_oracle over a 1-D grid; returns (len(grid), q)."""
+    """Evaluate the kernel sum over a 1-D grid; returns (len(grid), q)."""
     xs = np.asarray(grid, dtype=np.float64)
     if xs.ndim != 1 or xs.size == 0:
         raise UsageError("evaluation grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(xs)) or xs.min() < 0.0 or xs.max() > 1.0:
         raise DomainError("oracle evaluation points must lie in [0, 1]")
-    n = model.grid.n
-    knots = model.grid.knots
-    inv = float(n)
+    rows, weights = _window(model, xs)
     coef = model.coefficients
-    jc = (xs * inv).astype(np.int64)
-    if model.kernel.kind == BOX:
-        j = np.minimum(jc, n - 1)
-        j = np.where(
-            (j > 0) & (xs < knots[j]),
-            j - 1,
-            np.where((j < n - 1) & (xs >= knots[j + 1]), j + 1, j),
-        )
-        return coef[j, :].copy()
     acc = np.zeros((xs.size, model.q), dtype=np.float64)
-    if model.spacing == EVERY_KNOT:
-        radius = 1 if model.kernel.kind == TRIANGLE else 2
-        for off in range(-radius, radius + 2):
-            j = jc + off
-            valid = (j >= 0) & (j <= n)
-            js = np.clip(j, 0, n)
-            w = kernel_values(model.kernel, (xs - knots[js]) * inv) * valid
-            acc += coef[js, :] * w[:, None]
-        return acc
-    rows = coef.shape[0]
-    rc = jc // 2
-    for off in range(-2, 3):
-        r = rc + off
-        valid = (r >= 0) & (r <= rows - 1)
-        rs = np.clip(r, 0, rows - 1)
-        w = kernel_values(model.kernel, (xs - knots[2 * rs]) * inv) * valid
-        acc += coef[rs, :] * w[:, None]
+    for k in range(rows.shape[1]):
+        acc += coef[rows[:, k], :] * weights[:, k, None]
     return acc
 
 
@@ -281,7 +248,7 @@ def eval_tensor_product(models, corner_values, point):
 
     models supply one axis each (shared kernel kind); corner_values is a
     p-dimensional array indexed by per-axis kernel rows.  For p = 1 this
-    reduces to eval_oracle bit for bit (same active-term routine, same
+    reduces to eval_oracle_grid bit for bit (same window, same
     accumulation order).
     """
     if len(models) < 1:
@@ -306,10 +273,11 @@ def eval_tensor_product(models, corner_values, point):
         if not (0.0 <= c <= 1.0):
             raise DomainError("tensor point coordinate %r outside [0, 1]" % (c,))
 
-    axis_terms = [_active_terms(m, c) for m, c in zip(models, point)]
+    windows = [_window(m, np.array([c])) for m, c in zip(models, point)]
+    axis_terms = [list(zip(r[0].tolist(), w[0].tolist())) for r, w in windows]
     s = 0.0
-    # lexicographic walk over the active window, last axis fastest; for
-    # p = 1 this is exactly the eval_oracle accumulation (1.0 * w == w)
+    # lexicographic walk over the window, last axis fastest; for p = 1
+    # this is exactly the eval_oracle_grid accumulation (1.0 * w == w)
     for combo in itertools.product(*axis_terms):
         w = 1.0
         for _, wd in combo:
@@ -480,12 +448,12 @@ def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
         g = sine_solve_coupling(samples)
         return PiecewiseOracle(grid, KernelKind.cubic_bump(slope), g)
     if method == "cubic-spaced":
-        if grid.n % 2 != 0:
-            raise UsageError("spaced design requires even N")
+        # PiecewiseOracle refuses an n the stride does not divide
+        stride = _STRIDE[EVERY_OTHER_KNOT]
         return PiecewiseOracle(
             grid,
             KernelKind.cubic_bump(slope),
-            samples.values[0::2, :],
+            samples.values[::stride, :],
             spacing=EVERY_OTHER_KNOT,
         )
     raise UsageError("unknown construction method %r" % (method,))

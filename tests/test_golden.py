@@ -44,7 +44,7 @@ GOLDEN_SHA256 = {
     "constant/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "constant/oracle":
-        "ca0da77d1ee500273dc4491f048220656b1ad35a09064f420cf3989b00020584",
+        "86e0ef45bf2ad26682261025737ccd6562fb5f0fd60ce05e79e4e27c77133523",
     "linear-relu/model":
         "605957c05b7e144a9d9dc254a098b273ae3662926eab69bcbffbf2cf504d3977",
     "linear-relu/model-v1":

@@ -122,6 +122,9 @@ def test_oracle_coefficient_validation():
     with pytest.raises(UsageError):
         PiecewiseOracle(grid, KernelKind.box(), np.array([1.0, np.nan,
                                                           0.0, 0.0, 0.0]))
+    with pytest.raises(UsageError, match="every-knot"):
+        PiecewiseOracle(grid, KernelKind.box(), np.ones(3),
+                        spacing="every-other-knot")
 
 
 def test_oracle_domain():
@@ -155,6 +158,7 @@ def _naive_sum(model, x):
 def _random_models(rng, n):
     grid = KnotGrid.uniform(n)
     c = rng.uniform(-2.0, 2.0, (n + 1, 2))
+    c[n // 2, 1] = -0.0
     yield PiecewiseOracle(grid, KernelKind.box(), c)
     yield PiecewiseOracle(grid, KernelKind.triangle(), c)
     yield PiecewiseOracle(grid, KernelKind.cubic_bump(), c)
@@ -188,7 +192,8 @@ def test_grid_evaluation_matches_scalar():
     for model in _random_models(rng, 8):
         grid_out = eval_oracle_grid(model, xs)
         scalar_out = np.stack([eval_oracle(model, x) for x in xs])
-        assert np.max(np.abs(grid_out - scalar_out)) <= 1e-15
+        # bytes, not ==, so that -0.0 and +0.0 differ
+        assert grid_out.tobytes() == scalar_out.tobytes()
 
 
 def test_box_model_closed_at_right_endpoint():
