@@ -58,10 +58,16 @@ class ConvergenceReport:
 
 
 def uniform_grid(grid_size):
+    """grid_size evenly spaced points on [0, 1], both ends included."""
     grid_size = int(grid_size)
     if grid_size < 2:
         raise UsageError("evaluation grid needs at least 2 points")
-    return np.linspace(0.0, 1.0, grid_size)
+    try:
+        return np.linspace(0.0, 1.0, grid_size)
+    except (ValueError, IndexError, MemoryError) as exc:
+        # numpy's refusals of a count it cannot index or allocate
+        raise UsageError("evaluation grid of %d points cannot be made: %s"
+                         % (grid_size, exc)) from None
 
 
 def measure_error(approx, target, grid_size):

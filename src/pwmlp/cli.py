@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .activations import DEFAULT_SLOPE
-from .analysis import estimate_order, verify_equivalence
+from .analysis import estimate_order, uniform_grid, verify_equivalence
 from .builders import METHODS, build_network
 from .errors import DomainError, FormatError, NumericalError, UsageError
 from .grids import KnotGrid, TargetSamples
@@ -117,7 +117,7 @@ def _parse_grid_spec(spec):
         raise UsageError("--grid must be an integer or a comma list") from None
     if count < 1:
         raise UsageError("evaluation grid is empty")
-    return np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.0])
+    return uniform_grid(count) if count > 1 else np.array([0.0])
 
 
 def _write_csv(stream, header, rows):
@@ -163,11 +163,7 @@ def cmd_verify(args):
     grid = KnotGrid.uniform(args.n)
     samples = _resolve_samples(args, grid)
     net = build_network(args.method, samples, args.slope)
-    oracle_method = args.method
-    if args.mismatch_oracle:
-        # negative control: deliberately compare against the wrong model
-        oracle_method = "linear-relu" if args.method == "constant" else "constant"
-    model = matching_oracle(oracle_method, samples, args.slope)
+    model = matching_oracle(args.method, samples, args.slope)
     report = verify_equivalence(net, model, grid_size=args.grid, tol=args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -305,8 +301,6 @@ def build_parser():
     p.add_argument("--slope", type=float, default=DEFAULT_SLOPE)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid", type=int, default=10001)
-    p.add_argument("--mismatch-oracle", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("convergence", help="error sweep over N, fit the order")

@@ -20,6 +20,7 @@ from pwmlp import (
     forward_grid,
     load_model,
 )
+from pwmlp import cli
 from pwmlp.cli import build_parser, main
 from pwmlp.targets import get_target
 
@@ -211,12 +212,39 @@ def test_verify_all_methods_pass(capsys):
         assert out.startswith("PASS")
 
 
-def test_verify_mismatched_reference_fails(capsys):
+def test_verify_mismatched_reference_fails(capsys, monkeypatch):
+    # negative control: compare against the wrong model
+    wrong = cli.matching_oracle
+    monkeypatch.setattr(cli, "matching_oracle", lambda method, *args:
+                        wrong("linear-relu", *args))
     code, out, _ = run(capsys, "verify", "--method", "constant",
-                       "--n", "16", "--target", "sin2pi",
-                       "--mismatch-oracle")
+                       "--n", "16", "--target", "sin2pi")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+# numpy refuses these counts as too large (ValueError), out of its index
+# range (IndexError) and past any address space (MemoryError) before it
+# allocates anything.
+_REFUSED_COUNTS = (10**20, 2**63 - 1, 2**59)
+
+
+@pytest.mark.parametrize("count", _REFUSED_COUNTS)
+def test_eval_refused_grid_count_exits_2(tmp_path, capsys, count):
+    model_path = _built_model(tmp_path, capsys)
+    out_path = tmp_path / "vals.csv"
+    code, out, err = run(capsys, "eval", str(model_path), "--grid",
+                         str(count), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert str(count) in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_verify_refused_grid_count_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--method", "constant", "--n", "4",
+                         "--target", "sin2pi", "--grid", str(10**20))
+    assert code == 2 and out == ""
+    assert str(10**20) in err
 
 
 def test_verify_usage_errors(capsys):
