@@ -191,7 +191,8 @@ class PiecewiseOracle:
 def _window(model, xs):
     """Rows and weights of the kernels whose support can contain each x.
 
-    Returns two (len(xs), width) arrays, rows ascending along each line.
+    Returns two (width, len(xs)) arrays, rows ascending down each column;
+    each window offset is one contiguous line, which the grid sum reads.
     The window is padded by one row on both sides of the support, so a
     floor of x/h rounded by one either way never drops an active kernel;
     rows outside the model are clipped into range and get weight 0, so
@@ -209,14 +210,14 @@ def _window(model, xs):
         j = np.minimum(jc, n - 1)
         j = j - ((j > 0) & (xs < knots[j]))
         j = j + ((j < n - 1) & (xs >= knots[j + 1]))
-        return j[:, None], np.ones((xs.size, 1))
+        return j[None, :], np.ones((1, xs.size))
     stride = _STRIDE[model.spacing]
     half = _SUPPORT_RADIUS[model.kernel.kind] // stride
-    rows = (jc // stride)[:, None] + np.arange(-half, half + 2)
+    rows = np.arange(-half, half + 2)[:, None] + jc // stride
     last = model.coefficients.shape[0] - 1
     valid = (rows >= 0) & (rows <= last)
     rows = np.clip(rows, 0, last)
-    u = (xs[:, None] - knots[stride * rows]) * inv
+    u = (xs - knots[stride * rows]) * inv
     return rows, kernel_values(model.kernel, u) * valid
 
 
@@ -238,8 +239,8 @@ def eval_oracle_grid(model, grid):
     rows, weights = _window(model, xs)
     coef = model.coefficients
     acc = np.zeros((xs.size, model.q), dtype=np.float64)
-    for k in range(rows.shape[1]):
-        acc += coef[rows[:, k], :] * weights[:, k, None]
+    for r, w in zip(rows, weights):
+        acc += coef[r, :] * w[:, None]
     return acc
 
 
@@ -274,7 +275,8 @@ def eval_tensor_product(models, corner_values, point):
             raise DomainError("tensor point coordinate %r outside [0, 1]" % (c,))
 
     windows = [_window(m, np.array([c])) for m, c in zip(models, point)]
-    axis_terms = [list(zip(r[0].tolist(), w[0].tolist())) for r, w in windows]
+    axis_terms = [list(zip(r[:, 0].tolist(), w[:, 0].tolist()))
+                  for r, w in windows]
     s = 0.0
     # lexicographic walk over the window, last axis fastest; for p = 1
     # this is exactly the eval_oracle_grid accumulation (1.0 * w == w)
