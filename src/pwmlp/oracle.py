@@ -189,18 +189,17 @@ class PiecewiseOracle:
 
 
 def _window(model, xs):
-    """Rows and weights of the kernels whose support can contain each x.
+    """Yield, in ascending row order, (rows, weights) arrays over xs for
+    the kernels whose support can contain each x.
 
-    Returns two (width, len(xs)) arrays, rows ascending down each column;
-    each window offset is one contiguous line, which the grid sum reads.
     The window is padded by one row on both sides of the support, so a
     floor of x/h rounded by one either way never drops an active kernel;
     rows outside the model are clipped into range and get weight 0, so
-    their terms leave a sum that starts at +0.0 unchanged.
-    For the box model the single covering box is returned, corrected
-    against the knot array in both directions (x * n can round past a
-    knot either way), with the last box closed at x = 1 so the model
-    agrees with the step-sum network there.
+    their terms leave a sum that starts at +0.0 unchanged.  For the box
+    model the single covering box is yielded, corrected against the knot
+    array in both directions (x * n can round past a knot either way),
+    with the last box closed at x = 1 so the model agrees with the
+    step-sum network there.
     """
     n = model.grid.n
     knots = model.grid.knots
@@ -210,15 +209,17 @@ def _window(model, xs):
         j = np.minimum(jc, n - 1)
         j = j - ((j > 0) & (xs < knots[j]))
         j = j + ((j < n - 1) & (xs >= knots[j + 1]))
-        return j[None, :], np.ones((1, xs.size))
+        yield j, np.ones(xs.size)
+        return
     stride = _STRIDE[model.spacing]
     half = _SUPPORT_RADIUS[model.kernel.kind] // stride
-    rows = np.arange(-half, half + 2)[:, None] + jc // stride
     last = model.coefficients.shape[0] - 1
-    valid = (rows >= 0) & (rows <= last)
-    rows = np.clip(rows, 0, last)
-    u = (xs - knots[stride * rows]) * inv
-    return rows, kernel_values(model.kernel, u) * valid
+    for off in range(-half, half + 2):
+        rows = jc // stride + off
+        valid = (rows >= 0) & (rows <= last)
+        rows = np.clip(rows, 0, last)
+        u = (xs - knots[stride * rows]) * inv
+        yield rows, kernel_values(model.kernel, u) * valid
 
 
 def eval_oracle(model, x):
@@ -236,11 +237,10 @@ def eval_oracle_grid(model, grid):
         raise UsageError("evaluation grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(xs)) or xs.min() < 0.0 or xs.max() > 1.0:
         raise DomainError("oracle evaluation points must lie in [0, 1]")
-    rows, weights = _window(model, xs)
     coef = model.coefficients
     acc = np.zeros((xs.size, model.q), dtype=np.float64)
-    for r, w in zip(rows, weights):
-        acc += coef[r, :] * w[:, None]
+    for rows, weights in _window(model, xs):
+        acc += coef[rows, :] * weights[:, None]
     return acc
 
 
@@ -274,9 +274,8 @@ def eval_tensor_product(models, corner_values, point):
         if not (0.0 <= c <= 1.0):
             raise DomainError("tensor point coordinate %r outside [0, 1]" % (c,))
 
-    windows = [_window(m, np.array([c])) for m, c in zip(models, point)]
-    axis_terms = [list(zip(r[:, 0].tolist(), w[:, 0].tolist()))
-                  for r, w in windows]
+    axis_terms = [[(int(r[0]), float(w[0])) for r, w in _window(m, np.array([c]))]
+                  for m, c in zip(models, point)]
     s = 0.0
     # lexicographic walk over the window, last axis fastest; for p = 1
     # this is exactly the eval_oracle_grid accumulation (1.0 * w == w)
