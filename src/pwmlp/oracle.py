@@ -189,8 +189,9 @@ class PiecewiseOracle:
 
 
 def _window(model, xs):
-    """Yield, in ascending row order, (rows, weights) arrays over xs for
-    the kernels whose support can contain each x.
+    """Yield (rows, weights) arrays over xs, in ascending row order, for
+    the kernels whose support can contain each x; one window offset at a
+    time, so that no temporary outgrows xs.
 
     The window is padded by one row on both sides of the support, so a
     floor of x/h rounded by one either way never drops an active kernel;
@@ -203,8 +204,7 @@ def _window(model, xs):
     """
     n = model.grid.n
     knots = model.grid.knots
-    inv = float(n)
-    jc = (xs * inv).astype(np.int64)
+    jc = (xs * n).astype(np.int64)
     if model.kernel.kind == BOX:
         j = np.minimum(jc, n - 1)
         j = j - ((j > 0) & (xs < knots[j]))
@@ -218,7 +218,7 @@ def _window(model, xs):
         rows = jc // stride + off
         valid = (rows >= 0) & (rows <= last)
         rows = np.clip(rows, 0, last)
-        u = (xs - knots[stride * rows]) * inv
+        u = (xs - knots[stride * rows]) * n
         yield rows, kernel_values(model.kernel, u) * valid
 
 
