@@ -73,8 +73,15 @@ def uniform_grid(grid_size):
 def measure_error(approx, target, grid_size):
     """Sup and RMS deviation between two vectorized closures on [0, 1]."""
     xs = uniform_grid(grid_size)
-    ya = np.asarray(approx(xs), dtype=np.float64)
-    yt = np.asarray(target(xs), dtype=np.float64)
+    return _error_summary(xs, approx(xs), target(xs))
+
+
+def _error_summary(xs, approx_values, target_values):
+    """Sup and RMS deviation of the approximant's values from the
+    target's on the grid xs; each must hold one finite value per
+    point."""
+    ya = np.asarray(approx_values, dtype=np.float64)
+    yt = np.asarray(target_values, dtype=np.float64)
     if ya.shape != xs.shape or yt.shape != xs.shape:
         raise UsageError("closures must return one value per grid point")
     for name, y in (("approximant", ya), ("target", yt)):
@@ -146,17 +153,20 @@ def estimate_order(method, target, n_values, grid_size=10001,
     if route not in ("network", "oracle"):
         raise UsageError("route must be 'network' or 'oracle'")
 
+    # the target on the error grid is the same for every N
+    xs = uniform_grid(grid_size)
+    yt = target.fn(xs)
     sups = []
     l2s = []
     for n in n_values:
         samples = TargetSamples.from_function(KnotGrid.uniform(n), target.fn)
         if route == "network":
             compiled = compile_network(build_network(method, samples, slope))
-            approx = lambda xs, compiled=compiled: compiled.eval(xs)[:, 0]
+            ya = compiled.eval(xs)[:, 0]
         else:
             model = matching_oracle(method, samples, slope)
-            approx = lambda xs, model=model: eval_oracle_grid(model, xs)[:, 0]
-        summary = measure_error(approx, target.fn, grid_size)
+            ya = eval_oracle_grid(model, xs)[:, 0]
+        summary = _error_summary(xs, ya, yt)
         sups.append(summary.sup_error)
         l2s.append(summary.l2_error)
 

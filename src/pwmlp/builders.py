@@ -46,6 +46,38 @@ from .network import Network
 from .oracle import refine_coupling
 
 
+def _thomas_factor(lower, diag, upper):
+    """The elimination half of thomas_solve, which depends on the bands
+    only: (sub-diagonal, pivots, multipliers cp) as float lists, to be
+    reused by _thomas_sweep for any number of right-hand sides.  Raises
+    NumericalError on a zero pivot."""
+    lo, d, up = (np.asarray(v, dtype=np.float64).tolist()
+                 for v in (lower, diag, upper))
+    m = len(d)
+    piv = [0.0] * m
+    cp = [0.0] * m
+    for i in range(m):
+        p = d[i] - lo[i] * cp[i - 1] if i else d[0]
+        if p == 0.0:
+            raise NumericalError("zero pivot in tridiagonal elimination")
+        piv[i] = p
+        cp[i] = up[i] / p if i < m - 1 else 0.0
+    return lo, piv, cp
+
+
+def _thomas_sweep(factor, rhs):
+    """Forward and back substitution of one right-hand side through a
+    _thomas_factor, on Python floats."""
+    lo, piv, cp = factor
+    r = np.asarray(rhs, dtype=np.float64).tolist()
+    x = [r[0] / piv[0]]
+    for ri, li, pi in zip(r[1:], lo[1:], piv[1:]):
+        x.append((ri - li * x[-1]) / pi)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = x[i] - cp[i] * x[i + 1]
+    return np.array(x)
+
+
 def thomas_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system in O(n) without pivoting.
 
@@ -60,25 +92,7 @@ def thomas_solve(lower, diag, upper, rhs):
     Python floats, which round as float64 does and cost less to index
     than numpy scalars.
     """
-    lo, d, up, r = (np.asarray(v, dtype=np.float64).tolist()
-                    for v in (lower, diag, upper, rhs))
-    m = len(r)
-    cp = [0.0] * m
-    x = [0.0] * m
-    piv = d[0]
-    if piv == 0.0:
-        raise NumericalError("zero pivot in tridiagonal elimination")
-    cp[0] = up[0] / piv if m > 1 else 0.0
-    x[0] = r[0] / piv
-    for i in range(1, m):
-        piv = d[i] - lo[i] * cp[i - 1]
-        if piv == 0.0:
-            raise NumericalError("zero pivot in tridiagonal elimination")
-        cp[i] = up[i] / piv if i < m - 1 else 0.0
-        x[i] = (r[i] - lo[i] * x[i - 1]) / piv
-    for i in range(m - 2, -1, -1):
-        x[i] = x[i] - cp[i] * x[i + 1]
-    return np.array(x)
+    return _thomas_sweep(_thomas_factor(lower, diag, upper), rhs)
 
 
 @dataclass(frozen=True)
@@ -103,10 +117,10 @@ def solve_bump_coupling(samples):
     """
     f = samples.values
     m, q = f.shape
-    bands = (np.full(m, 0.5), np.ones(m), np.full(m, 0.5))
+    factor = _thomas_factor(np.full(m, 0.5), np.ones(m), np.full(m, 0.5))
 
     def sweep(rhs):
-        return np.column_stack([thomas_solve(*bands, col) for col in rhs.T])
+        return np.column_stack([_thomas_sweep(factor, col) for col in rhs.T])
 
     with np.errstate(over="ignore", invalid="ignore"):
         g = refine_coupling(sweep, f)

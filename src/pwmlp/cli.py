@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -76,13 +77,51 @@ def _numeric_rows(rows, csv_path):
     return values.reshape(len(body), width)
 
 
+def _csv_header(path):
+    """The first row of a CSV file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise FormatError("empty CSV file", path=path)
+    return header
+
+
+# loadtxt skips the ASCII separators FS, GS, RS and US around a number
+# as blanks; float() refuses them.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _csv_body(path, width):
+    """The rows after the header of a CSV file, as a float array width
+    cells wide.
+
+    np.loadtxt reads the body in C.  Where it refuses the text, warns
+    (an empty body), returns another width, or the text holds a
+    character it reads differently from float(), the rows are parsed
+    again cell by cell (_numeric_rows), which either gives the same
+    values as csv.reader plus float() or names the bad row or cell.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                              ndmin=2, encoding="utf-8")
+    except (ValueError, UserWarning):
+        pass
+    else:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if data.shape[1] == width and not any(c in raw for c in _SEPARATORS):
+            return data
+    return _numeric_rows(_read_csv_rows(path), path)
+
+
 def _load_target_samples(csv_path, grid):
     """Knot samples from CSV: header x,f1..fq then exactly N+1 rows."""
-    rows = _read_csv_rows(csv_path)
-    header = rows[0]
+    header = _csv_header(csv_path)
     if len(header) < 2 or header[0].strip() != "x":
         raise FormatError("expected header x,f1,...", path=csv_path)
-    data = _numeric_rows(rows, csv_path)
+    data = _csv_body(csv_path, len(header))
     if len(data) != grid.n + 1:
         raise UsageError(
             "target CSV must supply exactly the N+1 knot values "
@@ -230,10 +269,10 @@ def cmd_fit_kernel(args):
         kernel = KernelKind.triangle()
     else:
         kernel = KernelKind.cubic_bump(args.slope)
-    rows = _read_csv_rows(args.csv)
-    if len(rows[0]) != 2 or rows[0][0].strip() != "x":
+    header = _csv_header(args.csv)
+    if len(header) != 2 or header[0].strip() != "x":
         raise FormatError("expected header x,y", path=args.csv)
-    data = _numeric_rows(rows, args.csv)
+    data = _csv_body(args.csv, 2)
     fit = fit_kernel_weights(data, kernel, grid)
     doc = {
         "kernel": args.kernel,

@@ -428,6 +428,28 @@ def compile_network(net):
     return PiecewiseNetwork(breaks, anchors, coeffs)
 
 
+def _json_floats(values):
+    """JSON text of a 1-D float array, as json.dumps(values.tolist(),
+    allow_nan=False) writes it, formatting each distinct magnitude once.
+
+    Words are grouped by the int64 bit pattern with the sign bit
+    cleared, so -0.0 stays apart from 0.0, and a negative value is
+    written "-" + repr(|v|), which is repr(v) for every finite double.
+    The constructions repeat their weights and taps (+-c_j, two or four
+    times each), so this formats a fraction of the values.  Raises
+    ValueError on a value that is not finite, as json.dumps does.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = a.view(np.int64)
+    mag, inv = np.unique(bits & np.int64(0x7FFF_FFFF_FFFF_FFFF),
+                         return_inverse=True)
+    words = [repr(v) for v in mag.view(np.float64).tolist()]
+    table = np.array(words + ["-" + w for w in words], dtype=object)
+    return "[%s]" % ", ".join(table[inv + len(words) * (bits < 0)].tolist())
+
+
 def save_model(net):
     """Serialize a network to JSON text in format 2.
 
@@ -438,26 +460,26 @@ def save_model(net):
     coefficient a1 is stored, and the dependent coefficients are
     recomputed on load, which cannot drift because the reconstruction
     is deterministic.  Each key goes on its own line with its value
-    written without indent, so the C encoder writes every float by
-    ``repr`` and ``save_model(load_model(text)) == text``.
+    written without indent, every float by ``repr`` (the float arrays
+    through _json_floats, the rest by json.dumps), so
+    ``save_model(load_model(text)) == text``.
     """
     acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
             if act.kind == CUBIC else {"kind": act.kind}
             for act in net.acts]
     fields = (
-        ("format", 2),
-        ("method", net.method),
-        ("n", net.n),
-        ("acts", acts),
-        ("group", net.group.tolist()),
-        ("weight", net.weight.tolist()),
-        ("bias", net.bias.tolist()),
-        ("taps", net.taps.T.tolist()),
-        ("tap_bias", net.tap_bias.tolist()),
+        ("format", json.dumps(2)),
+        ("method", json.dumps(net.method)),
+        ("n", json.dumps(net.n)),
+        ("acts", json.dumps(acts, allow_nan=False)),
+        ("group", json.dumps(net.group.tolist())),
+        ("weight", _json_floats(net.weight)),
+        ("bias", _json_floats(net.bias)),
+        ("taps", "[%s]" % ", ".join(map(_json_floats, net.taps.T))),
+        ("tap_bias", _json_floats(net.tap_bias)),
     )
     return "{\n%s\n}\n" % ",\n".join(
-        "  %s: %s" % (json.dumps(key), json.dumps(value, allow_nan=False))
-        for key, value in fields)
+        "  %s: %s" % (json.dumps(key), value) for key, value in fields)
 
 
 def _require(cond, path, message):

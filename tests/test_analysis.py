@@ -9,6 +9,7 @@ import pytest
 from pwmlp import (
     TARGETS,
     KnotGrid,
+    TargetDef,
     NumericalError,
     TargetSamples,
     UsageError,
@@ -195,3 +196,23 @@ def test_estimate_order_accepts_target_def():
                             grid_size=2001)
     assert not report.zero_error
     assert report.fitted_order > 0.5
+
+
+@pytest.mark.parametrize("route", ["network", "oracle"])
+def test_estimate_order_evaluates_the_target_once_on_the_grid(route):
+    runge = get_target("runge")
+    xs = uniform_grid(2001)
+    calls = []
+
+    def counted(x):
+        if np.shape(x) == xs.shape and np.array_equal(x, xs):
+            calls.append(x)
+        return runge.fn(x)
+
+    target = TargetDef("counted", counted, runge.description, runge.sup_abs)
+    n_values = [8, 16, 32, 64]
+    report = estimate_order("linear-ramp", target, n_values, grid_size=2001,
+                            route=route)
+    assert len(calls) == 1
+    assert report == estimate_order("linear-ramp", runge, n_values,
+                                    grid_size=2001, route=route)

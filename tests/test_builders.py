@@ -19,6 +19,7 @@ from pwmlp import (
     solve_bump_coupling,
     thomas_solve,
 )
+from pwmlp.oracle import refine_coupling
 
 
 def test_uniform_grid_exact_knots():
@@ -94,6 +95,21 @@ def test_thomas_matches_dense_solve_random():
             a[i, i + 1] = upper[i]
         x = thomas_solve(lower, diag, upper, rhs)
         assert np.max(np.abs(x - np.linalg.solve(a, rhs))) <= 1e-10
+
+
+def test_bump_coupling_equals_refined_thomas_solves():
+    # one factorization serves every sweep and column, bit for bit
+    grid = KnotGrid.uniform(64)
+    rng = np.random.default_rng(3)
+    samples = TargetSamples(grid, np.column_stack([
+        np.sin(5.0 * grid.knots), rng.uniform(-1.0, 1.0, 65)]))
+    bands = (np.full(65, 0.5), np.ones(65), np.full(65, 0.5))
+
+    def sweep(rhs):
+        return np.column_stack([thomas_solve(*bands, col) for col in rhs.T])
+
+    g = refine_coupling(sweep, samples.values)
+    assert solve_bump_coupling(samples).g.tobytes() == g.tobytes()
 
 
 def test_bump_coupling_hand_case():

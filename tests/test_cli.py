@@ -7,6 +7,7 @@ spawning subprocesses.
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,77 @@ def test_csv_sample_errors(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
                        "--csv", str(empty), "--out", str(out))
     assert code == 3
+
+
+_KNOT_ROWS = [[0.0, 1.0], [1.0, 2.0]]
+
+
+# Each input gives what csv.reader plus float() gave: its values, or the
+# error message and exit code of the cell walk.
+@pytest.mark.parametrize("body, expected", [
+    ("\n0.0,1.0\n\n1.0,2.0\n\n", _KNOT_ROWS),
+    ("0.0,1.0\n \t \n1.0,2.0\n", (3, "ragged rows: row 3 has 1 cells")),
+    ("0.0,1.0\r\n1.0,2.0\r\n", _KNOT_ROWS),
+    ("0.0,1.0\r1.0,2.0\r", _KNOT_ROWS),
+    ("# knots\n0.0,1.0\n1.0,2.0\n", (3, "ragged rows: row 2 has 1 cells")),
+    ("0.0,1.0,\n1.0,2.0,\n", (3, "ragged rows: row 2 has 3 cells")),
+    ("", (2, "exactly the N+1 knot values (0 rows for N=1)")),
+    ('"0.0",1.0\n1.0,"2.0"\n', _KNOT_ROWS),
+    ("0.0,1_0\n1.0,2.0\n", [[0.0, 10.0], [1.0, 2.0]]),
+    (" 0.0 ,  1.0\n1.0 ,2.0 \n", _KNOT_ROWS),
+    ("0.0,\t1.0\n1.0\t,2.0\n", _KNOT_ROWS),
+    ("0.0,\n1.0,2.0\n", (3, "row 2: not a number: ''")),
+    ("0.0,1.0\x00\n1.0,2.0\n", (3, "row 2: not a number: '1.0\\x00'")),
+    ("0.0,\u0661\n1.0,2.0\n", _KNOT_ROWS),
+    ("0.0,\x1c1.0\n1.0,2.0\n", (3, "row 2: not a number: '\\x1c1.0'")),
+], ids=["blank-lines", "whitespace-line", "crlf", "bare-cr", "hash-line",
+        "trailing-comma", "header-only", "quoted", "underscore", "padded",
+        "tab", "empty-cell", "nul", "arabic-indic-digit", "separator"])
+def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, body, expected):
+    csv_path = tmp_path / "samples.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("x,y\n" + body)
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text, err = run(capsys, "build", "--method", "constant",
+                              "--n", "1", "--csv", str(csv_path),
+                              "--out", str(out))
+    assert not caught and "Traceback" not in err
+    if isinstance(expected, list):
+        assert code == 0
+        data = cli._csv_body(str(csv_path), 2)
+        assert data.tobytes() == np.array(expected).tobytes()
+        walk = cli._numeric_rows(cli._read_csv_rows(str(csv_path)),
+                                 str(csv_path))
+        assert data.tobytes() == walk.tobytes()
+        return
+    exit_code, message = expected
+    assert (code, text) == (exit_code, "") and message in err
+    assert not out.exists()
+    if exit_code == 3:
+        # fit-kernel reads its samples through the same reader
+        code, _, err = run(capsys, "fit-kernel", "box", "--n", "1",
+                           "--csv", str(csv_path),
+                           "--out", str(tmp_path / "f.json"))
+        assert code == 3 and message in err
+
+
+def test_csv_body_values_equal_float_of_each_cell(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-320, 308,
+                                                                  4000)
+    values[:4] = (-0.0, 0.0, 5e-324, -1.7976931348623157e308)
+    styles = ("%r", "%.17g", "%.6e", "%.30e", " %.3f", "%+.20g ")
+    cells = [styles[i % len(styles)] % v
+             for i, v in enumerate(values.tolist())]
+    csv_path = tmp_path / "dense.csv"
+    csv_path.write_text("x,y\n" + "".join(
+        "%d,%s\n" % (i, c) for i, c in enumerate(cells)))
+    data = cli._csv_body(str(csv_path), 2)
+    assert data[:, 1].tobytes() == np.array([float(c) for c in cells]).tobytes()
+    walk = cli._numeric_rows(cli._read_csv_rows(str(csv_path)), str(csv_path))
+    assert data.tobytes() == walk.tobytes()
 
 
 def test_convergence_outputs(tmp_path, capsys):

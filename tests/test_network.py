@@ -29,7 +29,7 @@ from pwmlp import (
     save_model,
     verify_equivalence,
 )
-from pwmlp.network import _SIDE, _TILE
+from pwmlp.network import _SIDE, _TILE, _json_floats
 
 
 def _network(units, outputs):
@@ -435,6 +435,67 @@ def test_save_writes_one_key_per_line():
         "format", "method", "n", "acts", "group", "weight", "bias", "taps",
         "tap_bias"]
     assert keys[0] == {"format": 2}
+
+
+def _json_dumps_model(net):
+    """The format-2 text written field by field with json.dumps: the
+    reference save_model's float formatting must equal."""
+    acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
+            if act.kind == "cubic" else {"kind": act.kind}
+            for act in net.acts]
+    fields = (("format", 2), ("method", net.method), ("n", net.n),
+              ("acts", acts), ("group", net.group.tolist()),
+              ("weight", net.weight.tolist()), ("bias", net.bias.tolist()),
+              ("taps", net.taps.T.tolist()),
+              ("tap_bias", net.tap_bias.tolist()))
+    return "{\n%s\n}\n" % ",\n".join(
+        "  %s: %s" % (json.dumps(key), json.dumps(value, allow_nan=False))
+        for key, value in fields)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 0.0, -0.0, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                1e16, -1e16, 1e-5, -1e-5, 1e22, -1e22, 0.1, -0.1]
+
+
+def _encoder_networks():
+    rng = np.random.default_rng(17)
+    size = 50_000
+    spread = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300,
+                                                                 size)
+    edge = np.array(_EDGE_FLOATS)
+    relu = Activation("relu")
+    yield Network(edge, edge[::-1], (relu,), np.zeros(edge.size, int),
+                  np.column_stack([edge, np.roll(edge, 3)]), [-0.0, 0.0],
+                  "constant", 1)
+    yield Network(spread, rng.permutation(spread), (relu,),
+                  np.zeros(size, int), np.column_stack([spread, -spread]),
+                  [1e-300, -1e300], "constant", 1)
+    yield Network(np.full(9, 0.25), np.full(9, -0.25), (relu,),
+                  np.zeros(9, int), np.full((9, 2), 3.0), [0.0, 0.0],
+                  "constant", 1)
+    yield Network(rng.uniform(-1.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300),
+                  (relu,), np.zeros(300, int), rng.normal(size=(300, 2)),
+                  rng.normal(size=2), "constant", 1)
+    grid = KnotGrid.uniform(16)
+    values = np.column_stack([np.sin(3.0 * grid.knots),
+                              rng.uniform(-1.0, 1.0, 17)])
+    for method in METHODS:
+        yield build_network(method, TargetSamples(grid, values))
+
+
+def test_save_equals_the_json_dumps_encoding():
+    for net in _encoder_networks():
+        text = save_model(net)
+        assert text == _json_dumps_model(net)
+        assert save_model(load_model(text)) == text
+
+
+def test_float_encoder_refuses_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            _json_floats(np.array([1.0, bad, -0.0]))
+    assert _json_floats(np.array(_EDGE_FLOATS)) == json.dumps(_EDGE_FLOATS)
 
 
 @pytest.mark.parametrize("n", [2, 16])
