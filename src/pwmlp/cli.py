@@ -11,7 +11,7 @@ version banner goes to standard error only.
 
 import argparse
 import csv
-import itertools
+import io
 import json
 import math
 import sys
@@ -37,16 +37,14 @@ def _repr_num(v):
 
 
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_csv_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError("empty CSV file", path=path)
-    return rows
+    """The file at path, decoded as UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("not UTF-8 text: %s at byte %d"
+                          % (exc.reason, exc.start), path=path) from None
 
 
 def _parse_float(cell, where):
@@ -56,78 +54,75 @@ def _parse_float(cell, where):
         raise FormatError("not a number: %r" % (cell,), path=where) from None
 
 
-def _numeric_rows(rows, csv_path):
-    """The nonblank rows after the header as a float array as wide as
-    the header.  Rows are numbered from 1 at the header."""
-    width = len(rows[0])
-    body = [(i, row) for i, row in enumerate(rows[1:], start=2) if row]
-    for i, row in body:
-        if len(row) != width:
-            raise FormatError("ragged rows: row %d has %d cells, the header "
-                              "%d" % (i, len(row), width), path=csv_path)
-    cells = itertools.chain.from_iterable(row for _, row in body)
-    try:
-        values = np.fromiter(map(float, cells), dtype=np.float64)
-    except ValueError:
-        # walk the cells again only to name the bad one
-        for i, row in body:
-            for cell in row:
-                _parse_float(cell, "%s row %d" % (csv_path, i))
-        raise
-    return values.reshape(len(body), width)
-
-
-def _csv_header(path):
-    """The first row of a CSV file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise FormatError("empty CSV file", path=path)
-    return header
-
-
 # loadtxt skips the ASCII separators FS, GS, RS and US around a number
 # as blanks; float() refuses them.
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _csv_body(path, width):
-    """The rows after the header of a CSV file, as a float array width
-    cells wide.
+def _read_csv(path):
+    """The header of a CSV file and the nonblank rows after it, as a
+    float array as wide as the header.  Rows are numbered from 1 at the
+    header.
 
-    np.loadtxt reads the body in C.  Where it refuses the text, warns
-    (an empty body), returns another width, or the text holds a
-    character it reads differently from float(), the rows are parsed
-    again cell by cell (_numeric_rows), which either gives the same
-    values as csv.reader plus float() or names the bad row or cell.
+    The text is read and decoded once, for the header, the separator
+    scan and the walk.  np.loadtxt reads the body from the path in C,
+    which measured faster than giving it the decoded text.  Where the
+    text holds a character it reads differently from float(), or it
+    refuses the text, warns (an empty body) or returns another width,
+    the csv.reader that read the header walks on through the body,
+    which gives float() of each cell or names the bad row or cell.
     """
+    text = _read_text(path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    row = 0  # the last record read; a csv.Error is in the next one
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                              ndmin=2, encoding="utf-8")
-    except (ValueError, UserWarning):
-        pass
-    else:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if data.shape[1] == width and not any(c in raw for c in _SEPARATORS):
-            return data
-    return _numeric_rows(_read_csv_rows(path), path)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("empty CSV file", path=path)
+        width, row = len(header), 1
+        if not any(c in text for c in _SEPARATORS):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(path, delimiter=",", skiprows=1,
+                                      comments=None, ndmin=2, encoding="utf-8")
+            except (ValueError, UserWarning):
+                pass
+            else:
+                if data.shape[1] == width:
+                    return header, data
+        body = []
+        for row, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != width:
+                raise FormatError("ragged rows: row %d has %d cells, the "
+                                  "header %d" % (row, len(cells), width),
+                                  path=path)
+            try:
+                body.append(list(map(float, cells)))
+            except ValueError:
+                # walk the row again only to name the bad cell
+                for cell in cells:
+                    _parse_float(cell, "%s row %d" % (path, row))
+                raise
+    except csv.Error as exc:
+        raise FormatError(str(exc), path="%s row %d" % (path, row + 1)) from None
+    return header, np.array(body, dtype=np.float64).reshape(len(body), width)
 
 
 def _load_target_samples(csv_path, grid):
     """Knot samples from CSV: header x,f1..fq then exactly N+1 rows."""
-    header = _csv_header(csv_path)
+    header, data = _read_csv(csv_path)
     if len(header) < 2 or header[0].strip() != "x":
         raise FormatError("expected header x,f1,...", path=csv_path)
-    data = _csv_body(csv_path, len(header))
     if len(data) != grid.n + 1:
         raise UsageError(
             "target CSV must supply exactly the N+1 knot values "
             "(%d rows for N=%d)" % (len(data), grid.n)
         )
-    if np.max(np.abs(data[:, 0] - grid.knots)) > 1e-9:
+    # written so that a NaN x fails too
+    if not np.all(np.abs(data[:, 0] - grid.knots) <= 1e-9):
         raise UsageError("CSV x column does not match the knots of N=%d" % grid.n)
     return TargetSamples(grid, data[:, 1:])
 
@@ -269,10 +264,9 @@ def cmd_fit_kernel(args):
         kernel = KernelKind.triangle()
     else:
         kernel = KernelKind.cubic_bump(args.slope)
-    header = _csv_header(args.csv)
+    header, data = _read_csv(args.csv)
     if len(header) != 2 or header[0].strip() != "x":
         raise FormatError("expected header x,y", path=args.csv)
-    data = _csv_body(args.csv, 2)
     fit = fit_kernel_weights(data, kernel, grid)
     doc = {
         "kernel": args.kernel,

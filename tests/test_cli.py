@@ -133,6 +133,10 @@ def test_eval_bad_inputs(tmp_path, capsys):
     bad.write_text("{\"method\": \"constant\"}")
     code, _, err = run(capsys, "eval", str(bad), "--grid", "5")
     assert code == 3 and "error:" in err
+    bad.write_bytes(b'{"format": 2, "method": "\xff"}')
+    code, out, err = run(capsys, "eval", str(bad), "--grid", "5")
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert "error: %s: not UTF-8 text" % bad in err
 
 
 def _built_model(tmp_path, capsys):
@@ -352,6 +356,14 @@ def test_csv_sample_errors(tmp_path, capsys):
                        "--csv", str(shifted), "--out", str(out))
     assert code == 2 and "knots" in err
 
+    nan_x = tmp_path / "nan_x.csv"
+    nan_x.write_text("x,f1\n0.0,1.0\nnan,2.0\n1.0,3.0\n")
+    for argv in (("build", "--out", str(out)), ("verify",)):
+        code, text, err = run(capsys, argv[0], "--method", "constant",
+                              "--n", "2", "--csv", str(nan_x), *argv[1:])
+        assert (code, text) == (2, "")
+        assert "CSV x column does not match the knots of N=2" in err
+
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("x,f1\n0.0,one\n0.5,2.0\n1.0,3.0\n")
     code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
@@ -375,6 +387,17 @@ def test_csv_sample_errors(tmp_path, capsys):
 _KNOT_ROWS = [[0.0, 1.0], [1.0, 2.0]]
 
 
+def _walked_csv_body(monkeypatch, csv_path):
+    """The body as the csv.reader walk of _read_csv parses it, with
+    np.loadtxt made to refuse every text."""
+    def refuse(*args, **kwargs):
+        raise ValueError("loadtxt refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        return cli._read_csv(str(csv_path))[1]
+
+
 # Each input gives what csv.reader plus float() gave: its values, or the
 # error message and exit code of the cell walk.
 @pytest.mark.parametrize("body, expected", [
@@ -396,7 +419,8 @@ _KNOT_ROWS = [[0.0, 1.0], [1.0, 2.0]]
 ], ids=["blank-lines", "whitespace-line", "crlf", "bare-cr", "hash-line",
         "trailing-comma", "header-only", "quoted", "underscore", "padded",
         "tab", "empty-cell", "nul", "arabic-indic-digit", "separator"])
-def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, body, expected):
+def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, monkeypatch,
+                                          body, expected):
     csv_path = tmp_path / "samples.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y\n" + body)
@@ -409,10 +433,10 @@ def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, body, expected):
     assert not caught and "Traceback" not in err
     if isinstance(expected, list):
         assert code == 0
-        data = cli._csv_body(str(csv_path), 2)
+        header, data = cli._read_csv(str(csv_path))
+        assert header == ["x", "y"]
         assert data.tobytes() == np.array(expected).tobytes()
-        walk = cli._numeric_rows(cli._read_csv_rows(str(csv_path)),
-                                 str(csv_path))
+        walk = _walked_csv_body(monkeypatch, csv_path)
         assert data.tobytes() == walk.tobytes()
         return
     exit_code, message = expected
@@ -426,7 +450,7 @@ def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, body, expected):
         assert code == 3 and message in err
 
 
-def test_csv_body_values_equal_float_of_each_cell(tmp_path):
+def test_csv_body_values_equal_float_of_each_cell(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     values = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-320, 308,
                                                                   4000)
@@ -437,10 +461,56 @@ def test_csv_body_values_equal_float_of_each_cell(tmp_path):
     csv_path = tmp_path / "dense.csv"
     csv_path.write_text("x,y\n" + "".join(
         "%d,%s\n" % (i, c) for i, c in enumerate(cells)))
-    data = cli._csv_body(str(csv_path), 2)
+    data = cli._read_csv(str(csv_path))[1]
     assert data[:, 1].tobytes() == np.array([float(c) for c in cells]).tobytes()
-    walk = cli._numeric_rows(cli._read_csv_rows(str(csv_path)), str(csv_path))
+    walk = _walked_csv_body(monkeypatch, csv_path)
     assert data.tobytes() == walk.tobytes()
+
+
+# 200001 characters, beyond the csv module's field limit of 131072
+_LONG_CELL = "0." + "0" * 199999
+
+_SAMPLES_FILE_COMMANDS = [
+    ("build", "--method", "constant", "--n", "1", "--out", "m.json"),
+    ("verify", "--method", "constant", "--n", "1"),
+    ("fit-kernel", "box", "--n", "1", "--out", "f.json"),
+]
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"x,y\n0.0,1.0\n1.0,\xff2.0\n", ": not UTF-8 text: invalid start byte"),
+    (("x%s,y\n0.0,1.0\n1.0,2.0\n" % _LONG_CELL).encode(),
+     " row 1: field larger than field limit"),
+    (('x,y\n"%s",1.0\n1.0,2.0\n' % _LONG_CELL).encode(),
+     " row 2: field larger than field limit"),
+], ids=["not-utf8", "long-header-cell", "long-quoted-cell"])
+@pytest.mark.parametrize("argv", _SAMPLES_FILE_COMMANDS,
+                         ids=lambda argv: argv[0])
+def test_unreadable_samples_file_exits_3(tmp_path, capsys, monkeypatch,
+                                         text, message, argv):
+    monkeypatch.chdir(tmp_path)
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_bytes(text)
+    code, out, err = run(capsys, *argv, "--csv", str(csv_path))
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert "error: %s%s" % (csv_path, message) in err
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_long_unquoted_cell_parses_through_loadtxt(tmp_path, capsys):
+    # the csv.reader walk would refuse this cell
+    long_csv = tmp_path / "long.csv"
+    long_csv.write_text("x,y\n%s,1.0\n1.0,2.0\n" % _LONG_CELL)
+    short_csv = tmp_path / "short.csv"
+    short_csv.write_text("x,y\n0.0,1.0\n1.0,2.0\n")
+    for csv_path in (long_csv, short_csv):
+        code, _, _ = run(capsys, "build", "--method", "constant", "--n", "1",
+                         "--csv", str(csv_path),
+                         "--out", str(csv_path.with_suffix(".json")))
+        assert code == 0
+    assert (long_csv.with_suffix(".json").read_bytes()
+            == short_csv.with_suffix(".json").read_bytes())
 
 
 def test_convergence_outputs(tmp_path, capsys):
