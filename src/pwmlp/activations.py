@@ -130,13 +130,32 @@ def activation_values(act, z):
     Uses the same arithmetic (Horner form for the cubic) as
     eval_activation so scalar and array paths agree bit for bit.
     """
-    z = np.asarray(z, dtype=np.float64)
+    return activate(act, np.asarray(z, dtype=np.float64))
+
+
+def activate(act, z, out=None, spare=None):
+    """activation_values(act, z) for a float64 array z, written to out,
+    or for the cubic to spare; each is an array shaped like z, or None
+    for a new one.  out may be z itself; spare may not, since the cubic
+    takes both masks from z and then runs Horner in spare.  Returns the
+    array that holds the values."""
     if act.kind == STEP:
-        return np.where(z >= 0.0, 1.0, 0.0)
+        if out is None:
+            out = np.empty_like(z)
+        return np.greater_equal(z, 0.0, out=out)
     if act.kind == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if act.kind == RAMP:
-        return np.clip(z, 0.0, 1.0)
+        return np.clip(z, 0.0, 1.0, out=out)
     a0, a1, a2, a3 = act.cubic_coeffs
-    body = ((a3 * z + a2) * z + a1) * z + a0
-    return np.where(z <= -1.0, 0.0, np.where(z >= 1.0, 1.0, body))
+    low = z <= -1.0
+    high = z >= 1.0
+    body = np.multiply(z, a3, out=spare)
+    body += a2
+    body *= z
+    body += a1
+    body *= z
+    body += a0
+    np.copyto(body, 0.0, where=low)
+    np.copyto(body, 1.0, where=high)
+    return body

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -36,15 +37,23 @@ def _repr_num(v):
     return repr(float(v))
 
 
-def _read_text(path):
-    """The file at path, decoded as UTF-8."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode(raw, path):
+    """raw decoded as UTF-8; FormatError naming the first bad byte."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError("not UTF-8 text: %s at byte %d"
                           % (exc.reason, exc.start), path=path) from None
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_text(path):
+    """The file at path, decoded as UTF-8."""
+    return _decode(_read_bytes(path), path)
 
 
 def _parse_float(cell, where):
@@ -55,8 +64,14 @@ def _parse_float(cell, where):
 
 
 # loadtxt skips the ASCII separators FS, GS, RS and US around a number
-# as blanks; float() refuses them.
-_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+# as blanks; float() refuses them.  In UTF-8 these bytes stand only for
+# themselves.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+# One line with its ending, split as io.StringIO(newline="") splits
+# text: at \r\n, \r or \n.  A multi-byte UTF-8 character holds none of
+# these bytes, so each line decodes on its own.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _read_csv(path):
@@ -64,23 +79,29 @@ def _read_csv(path):
     float array as wide as the header.  Rows are numbered from 1 at the
     header.
 
-    The text is read and decoded once, for the header, the separator
-    scan and the walk.  np.loadtxt reads the body from the path in C,
-    which measured faster than giving it the decoded text.  Where the
-    text holds a character it reads differently from float(), or it
-    refuses the text, warns (an empty body) or returns another width,
-    the csv.reader that read the header walks on through the body,
-    which gives float() of each cell or names the bad row or cell.
+    The bytes are read once, for the header, the separator scan and the
+    walk.  The header record is decoded line by line as a csv.reader
+    asks for lines.  np.loadtxt reads the body from the path in C, which
+    measured faster than giving it the decoded text, and decodes it as
+    UTF-8.  Where the text holds a character it reads differently from
+    float(), or it refuses the text, warns (an empty body) or returns
+    another width, the whole text is decoded and a csv.reader walks the
+    body after the header record, which gives float() of each cell or
+    names the bad row or cell.  So a copy of the whole text exists only
+    on that walk.
     """
-    text = _read_text(path)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    raw = _read_bytes(path)
+    reader = csv.reader(m.group().decode("utf-8") for m in _LINE.finditer(raw))
     row = 0  # the last record read; a csv.Error is in the next one
     try:
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except UnicodeDecodeError:
+            _decode(raw, path)  # raises, naming the first bad byte
         if header is None:
             raise FormatError("empty CSV file", path=path)
         width, row = len(header), 1
-        if not any(c in text for c in _SEPARATORS):
+        if not any(c in raw for c in _SEPARATORS):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -91,6 +112,8 @@ def _read_csv(path):
             else:
                 if data.shape[1] == width:
                     return header, data
+        reader = csv.reader(io.StringIO(_decode(raw, path), newline=""))
+        next(reader)  # the header record, read above
         body = []
         for row, cells in enumerate(reader, start=2):
             if not cells:

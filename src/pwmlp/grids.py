@@ -18,13 +18,19 @@ class KnotGrid:
     def __post_init__(self):
         if self.n < 1:
             raise UsageError("knot grid needs n >= 1")
-        k = self.knots
+        k = np.asarray(self.knots, dtype=np.float64)
         if k.shape != (self.n + 1,):
             raise UsageError("knot array must have n + 1 entries")
-        if not np.all(np.diff(k) > 0.0):
-            raise UsageError("knots must be strictly increasing")
-        if k[0] != 0.0 or abs(k[-1] - 1.0) > 1e-15:
-            raise UsageError("knots must span [0, 1]")
+        # The builders take unit weights from n and biases from the
+        # knots, and the oracle windows by floor(x * n): only the uniform
+        # grid, bit for bit, is one that both honour.
+        h = 1.0 / self.n
+        knots = np.arange(self.n + 1, dtype=np.float64) * h
+        if self.h != h or k.tobytes() != knots.tobytes():
+            raise UsageError("knot grid must be uniform: h = 1/n and "
+                             "knots j * (1/n), as KnotGrid.uniform(n) makes")
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
 
     @staticmethod
     def uniform(n):
@@ -32,9 +38,7 @@ class KnotGrid:
         if n < 1:
             raise UsageError("knot grid needs n >= 1")
         h = 1.0 / n
-        knots = np.arange(n + 1, dtype=np.float64) * h
-        knots.flags.writeable = False
-        return KnotGrid(n, h, knots)
+        return KnotGrid(n, h, np.arange(n + 1, dtype=np.float64) * h)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .activations import (
     RELU,
     STEP,
     Activation,
+    activate,
     activation_values,
     eval_activation,
 )
@@ -117,62 +118,87 @@ def _evaluation_grid(grid):
     return xs
 
 
-# Values per (points x neurons) tile of forward_grid.  Each of its few
-# work buffers holds one tile, so a call's working set stays near 1 MB
-# whatever the grid and the width.
-_TILE = 2**13
+# Values per work buffer of forward_grid.  A call holds four such
+# buffers, about 0.4 MB, and for the cubic two masks of a byte per
+# value, whatever the grid and the width.  A larger tile was faster on
+# many points but raised a call's peak memory.
+_TILE = 12288
 _SIDE = math.isqrt(_TILE)
 
+# The dtype whose one element is a lane group: the running sums of L
+# interleaved points then take one cumsum over elements of this dtype,
+# which adds each lane's parts separately.
+_LANE_DTYPE = {1: np.float64, 2: np.complex128}
 
-def _tile_activations(acts, members, z, start):
-    """Activations of the neurons start, start+1, ... on the columns of
-    the tile z: one activation_values call per activation present."""
-    stop = start + z.shape[1]
-    out = None
-    for act, idx in zip(acts, members):
-        lo, hi = np.searchsorted(idx, (start, stop))
-        if hi - lo == z.shape[1]:
-            return activation_values(act, z)
-        if lo < hi:
-            if out is None:
-                out = np.empty_like(z)
-            cols = idx[lo:hi] - start
-            out[:, cols] = activation_values(act, z[:, cols])
+
+def _per_lane(values, lanes, buf):
+    """values (n,) repeated for each lane as an (n, lanes) array written
+    into buf; a view of values when there is one lane."""
+    if lanes == 1:
+        return values[:, None]
+    out = buf[:values.size * lanes].reshape(values.size, lanes)
+    for lane in range(lanes):
+        out[:, lane] = values
     return out
 
 
-def _neumaier_tile(a, c, total, comp, bufs):
-    """Add c[j] * a[:, j] for each column j in order to the running
-    Neumaier sums total (one per row) and their compensation comp, in
-    place.
+def _tile_activations(acts, members, z, spare, start):
+    """Activations of the neurons start, start+1, ... on axis 1 of the
+    tile z, written over z or spare (an array like z); returns the one
+    that holds them.  A tile of one activation is written in place; a
+    mixed tile makes one activation_values call per activation present.
+    members is None when one activation covers the network."""
+    if members is None:
+        return activate(acts[0], z, z, spare)
+    stop = start + z.shape[1]
+    for act, idx in zip(acts, members):
+        lo, hi = np.searchsorted(idx, (start, stop))
+        if hi - lo == z.shape[1]:
+            return activate(act, z, z, spare)
+        if lo < hi:
+            cols = idx[lo:hi] - start
+            spare[:, cols] = activation_values(act, z[:, cols])
+    return spare
 
-    The running sums are one sequential cumsum along each row, seeded
-    with total; the exact rounding error of each addition (branch-free
-    TwoSum, equal to Neumaier's branch) is summed by a second cumsum
-    seeded with comp.  Both add in the order of a loop over the
-    columns, so the result is that loop's, bit for bit.
+
+def _neumaier_lanes(a, c, total, comp, v, s, e):
+    """Add c[j] * a[:, j] for each neuron j in order to the running
+    Neumaier sums total and their compensation comp, in place.
+
+    a is a (rows, n, L) tile whose lane l of row i is one point, c (n, L)
+    holds each tap once per lane, and total and comp are (rows, L).  v,
+    s and e are flat work buffers of at least rows * (n + 1) * L values;
+    c may lie in s.  The running sums are one sequential cumsum along
+    each row, seeded with total; the exact rounding error of each
+    addition (branch-free TwoSum, equal to Neumaier's branch) is summed
+    by a second cumsum seeded with comp.  Both cumsums run over elements
+    of L lanes (complex128 for two), whose parts add separately, so
+    each point adds in the order of a loop over the neurons and the
+    result is that loop's, bit for bit.
     """
-    p, n = a.shape
-    size = p * (n + 1)
-    v, s, e = (buf[:size] for buf in bufs[:3])
-    rows_v, rows_s, rows_e = (x.reshape(p, n + 1) for x in (v, s, e))
-    rows_v[:, 0] = total
-    np.multiply(a, c, out=rows_v[:, 1:])
-    np.cumsum(rows_v, axis=1, out=rows_s)
-    # TwoSum over the flat buffers, s[i] = s[i-1] + v[i]:
+    rows, n, lanes = a.shape
+    size = rows * (n + 1) * lanes
+    v, s, e = v[:size], s[:size], e[:size]
+    tile_v, tile_s, tile_e = (x.reshape(rows, n + 1, lanes) for x in (v, s, e))
+    sums_v, sums_s, sums_e = (x.view(_LANE_DTYPE[lanes]).reshape(rows, n + 1)
+                              for x in (v, s, e))
+    tile_v[:, 0] = total
+    np.multiply(a, c, out=tile_v[:, 1:])
+    np.cumsum(sums_v, axis=1, out=sums_s)
+    # TwoSum over the flat buffers, s[i] = s[i-L] + v[i]:
     # err = (prev - (tot - back)) + (add - back), back = tot - prev.
-    # The entry at the start of each row pairs two rows; the seed
-    # overwrites it.
-    prev, tot, add, err = s[:-1], s[1:], v[1:], e[1:]
+    # The entries at the start of each row pair two rows; the seed
+    # overwrites them.
+    prev, tot, add, err = s[:-lanes], s[lanes:], v[lanes:], e[lanes:]
     np.subtract(tot, prev, out=err)
     np.subtract(add, err, out=add)
     np.subtract(tot, err, out=err)
     np.subtract(prev, err, out=err)
     np.add(err, add, out=err)
-    rows_e[:, 0] = comp
-    np.cumsum(rows_e, axis=1, out=rows_v)
-    total[:] = rows_s[:, -1]
-    comp[:] = rows_v[:, -1]
+    tile_e[:, 0] = comp
+    np.cumsum(sums_e, axis=1, out=sums_v)
+    total[:] = tile_s[:, -1]
+    comp[:] = tile_v[:, -1]
 
 
 def forward_grid(net, grid):
@@ -183,13 +209,15 @@ def forward_grid(net, grid):
     function as a piecewise cubic for repeated evaluation.
 
     Each output is the tap bias plus the tap-weighted activations added
-    in neuron order with a Neumaier-compensated accumulator.  The work
-    runs over (points x neurons) tiles of at most _TILE values: the
-    running sums and their compensation are carried from one neuron
-    tile to the next, and each tile adds in the same order as a loop
-    over its neurons, so the result is that loop's bit for bit.  Memory
-    stays O(_TILE) beyond the parameters and the result, whatever the
-    grid and the width.
+    in neuron order with a Neumaier-compensated accumulator.  Points
+    2i and 2i+1 ride in the two lanes of one row (one lane for a single
+    point; an odd count pads one copy of its last point, dropped from
+    the result).  The work runs over (rows x neurons x lanes) tiles of
+    about _TILE values: the running sums and their compensation are
+    carried from one neuron tile to the next, and each tile adds in the
+    same order as a loop over its neurons, so the result is that loop's
+    bit for bit.  Memory stays O(_TILE) beyond the parameters, the grid
+    and the result, whatever the grid and the width.
 
     Row i equals forward(net, grid[i]) bit for bit: the scalar entry
     point delegates here, and every lane of the vectorized arithmetic is
@@ -201,29 +229,39 @@ def forward_grid(net, grid):
     xs = _evaluation_grid(grid)
     w, b, taps, acts = net.weight, net.bias, net.taps, net.acts
     width, q = taps.shape
-    members = [np.flatnonzero(net.group == g) for g in range(len(acts))]
+    members = None
+    if len(acts) > 1:
+        members = [np.flatnonzero(net.group == g) for g in range(len(acts))]
+    lanes = 1 if xs.size == 1 else 2
+    pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
+    pairs = pts.reshape(-1, lanes)
     # A few points get rows of up to _TILE neurons; many get square
     # tiles, so neither side of a tile shrinks to a handful of values.
-    cols = min(width, max(_TILE // xs.size, _SIDE))
-    rows = min(xs.size, _TILE // cols)
-    bufs = np.empty((4, rows * (cols + 1)))
-    out = np.empty((q, xs.size))
+    cols = min(width, max(_TILE // pts.size, _SIDE))
+    rows = min(len(pairs), _TILE // (cols * lanes))
+    v, s, z, spare = np.empty((4, rows * (cols + 1) * lanes))
+    out = np.empty((q, len(pairs), lanes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, xs.size, rows):
-            x = xs[i:i + rows, None]
-            total = np.repeat(net.tap_bias[:, None], x.size, axis=1)
+        for i in range(0, len(pairs), rows):
+            x = pairs[i:i + rows]
+            r = len(x)
+            total = np.repeat(net.tap_bias, r * lanes).reshape(q, r, lanes)
             comp = np.zeros_like(total)
             for j in range(0, width, cols):
                 n = min(cols, width - j)
-                z = bufs[3][:x.size * n].reshape(x.size, n)
-                np.multiply(x, w[j:j + cols], out=z)
-                np.add(z, b[j:j + cols], out=z)
-                a = _tile_activations(acts, members, z, j)
+                tile_z, tile_spare = (buf[:r * n * lanes].reshape(r, n, lanes)
+                                      for buf in (z, spare))
+                for lane in range(lanes):
+                    np.multiply(x[:, lane, None], w[j:j + n],
+                                out=tile_z[..., lane])
+                np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
+                a = _tile_activations(acts, members, tile_z, tile_spare, j)
+                e = z if a is tile_spare else spare
                 for k in range(q):
-                    _neumaier_tile(a, taps[j:j + cols, k], total[k], comp[k],
-                                   bufs)
+                    c = _per_lane(taps[j:j + n, k], lanes, s)
+                    _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
             np.add(total, comp, out=out[:, i:i + rows])
-    return _finite_outputs(xs, out.T)
+    return _finite_outputs(xs, out.reshape(q, -1)[:, :xs.size].T)
 
 
 def forward(net, x):

@@ -204,7 +204,8 @@ def _window(model, xs):
     """
     n = model.grid.n
     knots = model.grid.knots
-    jc = (xs * n).astype(np.int64)
+    xn = xs * n
+    jc = xn.astype(np.int64)
     if model.kernel.kind == BOX:
         j = np.minimum(jc, n - 1)
         j = j - ((j > 0) & (xs < knots[j]))
@@ -218,7 +219,7 @@ def _window(model, xs):
         rows = jc // stride + off
         valid = (rows >= 0) & (rows <= last)
         rows = np.clip(rows, 0, last)
-        u = (xs - knots[stride * rows]) * n
+        u = xn - stride * rows
         yield rows, kernel_values(model.kernel, u) * valid
 
 

@@ -129,6 +129,20 @@ def test_cubic_on_rough_data_meets_the_contract_at_16384():
         build_network("cubic", noise(65536))
 
 
+@pytest.mark.parametrize("n", (1000, 3000, 6000))
+def test_cubic_on_rough_data_meets_the_contract_off_powers_of_two(n):
+    # knots j/n that do not round exactly: the oracle's kernel argument
+    # x*n - j must not carry each knot's own rounding error, which the
+    # alternating g does not cancel (it gave 4.8e-10, 2.5e-9, 1.6e-8)
+    samples = TargetSamples(KnotGrid.uniform(n),
+                            np.random.default_rng(n).uniform(-1.0, 1.0, n + 1))
+    model = matching_oracle("cubic", samples)
+    report = verify_equivalence(build_network("cubic", samples), model)
+    assert report.passed
+    eps_g = np.finfo(np.float64).eps * np.max(np.abs(model.coefficients))
+    assert report.max_deviation <= 16.0 * eps_g
+
+
 def test_verify_equivalence_output_count_mismatch():
     samples = _samples(8, "runge")
     net = build_network("constant", samples)

@@ -38,6 +38,12 @@ def test_grid_validation():
         KnotGrid(2, 0.5, np.array([0.0, 1.0]))
     with pytest.raises(UsageError):
         KnotGrid(2, 0.5, np.array([0.1, 0.5, 1.0]))
+    # increasing knots spanning [0, 1] that the builders and the oracle
+    # would not honour: an h that disagrees with n, and non-uniform knots
+    with pytest.raises(UsageError, match="uniform"):
+        KnotGrid(2, 0.25, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(UsageError, match="uniform"):
+        KnotGrid(2, 0.5, np.array([0.0, 0.3, 1.0]))
 
 
 def test_target_samples_shapes():

@@ -5,6 +5,8 @@ and the files written, so the process-level contract is covered without
 spawning subprocesses.
 """
 
+import csv
+import io
 import json
 import tracemalloc
 import warnings
@@ -342,6 +344,23 @@ def test_build_from_csv_matches_builtin(tmp_path, capsys):
     assert out_csv.read_text() == out_builtin.read_text()
 
 
+def test_csv_samples_load_within_twice_the_file_size(tmp_path):
+    # the header is read without a copy of the whole text, which a
+    # StringIO would hold four bytes a character (5.6 times the file)
+    grid = KnotGrid.uniform(16384)
+    csv_path = tmp_path / "samples.csv"
+    _write_samples(csv_path, np.sin(7.0 * grid.knots))
+    size = csv_path.stat().st_size
+    tracemalloc.start()
+    try:
+        samples = cli._load_target_samples(str(csv_path), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.values.shape == (16385, 1)
+    assert peak < 2 * size
+
+
 def test_csv_sample_errors(tmp_path, capsys):
     out = tmp_path / "m.json"
     short = tmp_path / "short.csv"
@@ -448,6 +467,23 @@ def test_csv_body_parses_as_the_cell_walk(tmp_path, capsys, monkeypatch,
                            "--csv", str(csv_path),
                            "--out", str(tmp_path / "f.json"))
         assert code == 3 and message in err
+
+
+@pytest.mark.parametrize("header", [
+    "x,y\n", "x,y\r\n", "x,y\r", 'x,"y\r\nz"\n', 'x,"y\rz"\r', "x,é\n",
+], ids=["lf", "crlf", "bare-cr", "quoted-crlf", "quoted-cr", "non-ascii"])
+def test_csv_header_is_the_first_csv_record(tmp_path, monkeypatch, header):
+    # the header's lines are split out of the bytes; they give the record
+    # a csv.reader over the decoded text gives, and both parsers of the
+    # body start after it
+    text = header + "0.0,1.0\n1.0,2.0\n"
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_bytes(text.encode("utf-8"))
+    expected = next(csv.reader(io.StringIO(text, newline="")))
+    header_read, data = cli._read_csv(str(csv_path))
+    assert header_read == expected
+    assert data.tolist() == _KNOT_ROWS
+    assert _walked_csv_body(monkeypatch, csv_path).tolist() == _KNOT_ROWS
 
 
 def test_csv_body_values_equal_float_of_each_cell(tmp_path, monkeypatch):

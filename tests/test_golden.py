@@ -56,7 +56,7 @@ GOLDEN_SHA256 = {
     "linear-relu/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-relu/oracle":
-        "403e7baabccfd3d1cf34cb553ec92e540ad9ebfa6852701edeaad16b036d0e4b",
+        "6402e924bb38c71862a8595ffb07e348d054e48ddaecd358fd820e6fdc91e964",
     "linear-ramp/model":
         "c5e88e83058b347eea15fdf01c972a33d700b78651e82bf215a7f94d0d717696",
     "linear-ramp/model-v1":
@@ -68,7 +68,7 @@ GOLDEN_SHA256 = {
     "linear-ramp/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-ramp/oracle":
-        "cac19fd0fc6626f04e22e6303bf58b185792adeb4013a9e05f0223882463a533",
+        "63679865f48ef38f74f34e4c1a6421e5b7527e053d45c3cc0e47273e7453e10c",
     "cubic/model":
         "d11cf2d9582c4176130d02530d65df4a6b3e689b57033d45c3a0333c510c3686",
     "cubic/model-v1":
@@ -80,7 +80,7 @@ GOLDEN_SHA256 = {
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic/oracle":
-        "2367ac4380bbf45e1263d1bebf90b76058df334fc1eedddb35993524bdfad3a6",
+        "6b925f07a7ce1d37f6d45a56c8efe711993859433c5e350e444ea2051fc70f14",
     "cubic-spaced/model":
         "b7989f44073620f8fd18a79976ac01d269012a8d873524e8256ad0519ce49077",
     "cubic-spaced/model-v1":
@@ -210,7 +210,10 @@ def _digests():
 
 
 def test_golden_bytes():
-    assert _digests() == GOLDEN_SHA256
+    digests = _digests()
+    assert sorted(digests) == sorted(GOLDEN_SHA256)
+    moved = sorted(key for key in digests if digests[key] != GOLDEN_SHA256[key])
+    assert moved == [], "moved pins: " + ", ".join(moved)
 
 
 def test_hybrid_model_round_trips_text():

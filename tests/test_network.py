@@ -221,17 +221,20 @@ def test_compiled_matches_dense_and_oracle(method, n):
     assert oracle_dev <= tol
 
 
-def _general_network(rng, width, q):
-    """All four kinds, cubic slopes 0, 0.5 and 0.75, and weights of both
-    signs with about one in eight exactly zero."""
-    kinds = (
-        Activation.step(),
-        Activation.relu(),
-        Activation.ramp(),
-        Activation.cubic(0.0),
-        Activation.cubic(0.5),
-        Activation.cubic(0.75),
-    )
+_KINDS = (
+    Activation.step(),
+    Activation.relu(),
+    Activation.ramp(),
+    Activation.cubic(0.0),
+    Activation.cubic(0.5),
+    Activation.cubic(0.75),
+)
+
+
+def _general_network(rng, width, q, kinds=_KINDS):
+    """Units drawn from kinds (by default all four, cubic slopes 0, 0.5
+    and 0.75), and weights of both signs with about one in eight
+    exactly zero."""
     weights = rng.uniform(-4.0, 4.0, width)
     weights[rng.random(width) < 0.125] = 0.0
     units = [
@@ -275,21 +278,44 @@ def _reference_grid(rng, net, size):
     return np.take(pool, np.arange(start, start + size), mode="wrap")
 
 
-# (width, grid size) pairs around the tile's sides: neuron tiles are
-# _SIDE wide once a grid has _SIDE points or more, and up to _TILE wide
-# for one point.
-_TILE_CASES = (
-    [(w, g) for w in (1, _SIDE - 1, _SIDE, _SIDE + 1, 3 * _SIDE + 5)
-     for g in (1, 2, _SIDE - 1, _SIDE + 1, _TILE + 1)]
+# (width, grid size) pairs around the tile's sides.  Points 2i and
+# 2i + 1 share a row of a tile, an odd count of 3 or more pads one copy
+# of its last point, and one point has a row of its own.  Neuron tiles
+# are _SIDE wide once a grid has _TILE // _SIDE points or more, when a
+# tile holds _ROW_TILE points, and up to _TILE wide for one point.  The
+# cases at widths 89 to 91, 275 and 8191 to 24581 and at 89, 91 and
+# 8193 points sit at the sides of an 8192-value tile.
+_ROW_TILE = 2 * (_TILE // (2 * _SIDE))
+_TILE_CASES = sorted(set(
+    [(w, g) for w in (1, 89, 90, 91, 275) for g in (1, 2, 89, 91, 8193)]
+    + [(w, 1) for w in (8191, 8192, 8193, 24581)] + [(24581, 3)]
+    + [(w, g) for w in (1, _SIDE - 1, _SIDE, _SIDE + 1, 3 * _SIDE + 5)
+       for g in (1, 2, 3, _SIDE - 1, _SIDE + 1, _TILE + 1)]
+    + [(w, g) for w in (_SIDE + 1, 3 * _SIDE + 5)
+       for g in (_ROW_TILE - 1, _ROW_TILE, _ROW_TILE + 1, _ROW_TILE + 2,
+                 _TILE - 1, _TILE, _TILE + 2)]
     + [(w, 1) for w in (_TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5)]
-    + [(3 * _TILE + 5, 3)]
-)
+    + [(_TILE // 2 + 1, 2), (_TILE // 4 + 1, 3), (3 * _TILE + 5, 3)]
+))
 
 
 @pytest.mark.parametrize("width,size", _TILE_CASES)
 def test_forward_grid_equals_neuron_loop_bitwise(width, size):
     rng = np.random.default_rng(width * 100003 + size)
     net = _general_network(rng, width, int(rng.integers(1, 4)))
+    xs = _reference_grid(rng, net, size)
+    assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, _ROW_TILE + 1, _ROW_TILE + 2))
+@pytest.mark.parametrize("kind", range(len(_KINDS)))
+def test_forward_grid_equals_neuron_loop_for_one_activation(kind, size):
+    # tiles of one activation are activated in place; the cubic's lands
+    # in a spare buffer
+    width = 3 * _SIDE + 5
+    rng = np.random.default_rng(kind * 1009 + size)
+    net = _general_network(rng, width, int(rng.integers(1, 4)),
+                           (_KINDS[kind],))
     xs = _reference_grid(rng, net, size)
     assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
 
@@ -306,19 +332,30 @@ def test_forward_grid_equals_neuron_loop_for_every_method(method, n):
 
 
 def test_forward_grid_memory_stays_within_tiles():
-    # the whole (points x neurons) matrix would be 16388 * 2001 * 8 bytes
-    # = 262 MB; the tiles keep the working set near 1 MB
-    grid = KnotGrid.uniform(4096)
-    net = build_network("linear-relu",
-                        TargetSamples.from_function(grid, np.sin))
-    xs = np.linspace(0.0, 1.0, 2001)
-    tracemalloc.start()
-    try:
+    # (method, N, points, bound in KiB): eval-points' sizes, one point,
+    # and model-io's 5 points at width 65540, where the whole (points x
+    # neurons) matrix would be 2.6 MB and a list of one activation's
+    # members 0.5 MB
+    rng = np.random.default_rng(43)
+    for method, n, size, bound in (
+        ("linear-relu", 512, 255, 540),
+        ("linear-relu", 512, 16, 540),
+        ("cubic", 512, 256, 540),
+        ("constant", 512, 256, 540),
+        ("linear-relu", 512, 1, 100),
+        ("linear-relu", 16384, 5, 964),
+    ):
+        grid = KnotGrid.uniform(n)
+        net = build_network(method, TargetSamples.from_function(grid, np.sin))
+        xs = rng.uniform(0.0, 1.0, size)
         forward_grid(net, xs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+        tracemalloc.start()
+        try:
+            forward_grid(net, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 1024, (method, n, size, peak)
 
 
 def test_forward_grid_raises_on_non_finite_output():
