@@ -291,13 +291,15 @@ class PiecewiseNetwork:
 
     def eval(self, grid):
         """Evaluate on a 1-D grid by searchsorted plus Horner; returns a
-        (len(grid), q) array.  The grid is validated as forward_grid
-        validates it, and a non-finite output raises NumericalError as
-        it does there."""
+        (len(grid), q) array.  Each point's anchor and coefficients are
+        gathered with take, which copies whole (q,) rows where fancy
+        indexing on the middle axis of coeffs is several times slower.
+        The grid is validated as forward_grid validates it, and a
+        non-finite output raises NumericalError as it does there."""
         xs = _evaluation_grid(grid)
         piece = np.searchsorted(self.breaks, xs, side="right")
-        t = (xs - self.anchors[piece])[:, None]
-        c = self.coeffs[:, piece, :]
+        t = (xs - self.anchors.take(piece))[:, None]
+        c = self.coeffs.take(piece, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             out = ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
         return _finite_outputs(xs, out)
@@ -336,14 +338,22 @@ def _step_breaks(w, b):
 def _compensated_cumsum(rows):
     """Running sums down axis 0, each corrected by the running sum of the
     exact rounding errors of the additions before it (TwoSum): Neumaier
-    summation without a Python loop."""
+    summation without a Python loop.  No entry of the result is -0.0:
+    TwoSum's error term never is, and s + comp is -0.0 only if both are.
+    """
     s = np.cumsum(rows, axis=0)
-    prev, add, total = s[:-1], rows[1:], s[1:]
-    back = total - prev
-    err = (prev - (total - back)) + (add - back)
     comp = np.zeros_like(s)
-    np.cumsum(err, axis=0, out=comp[1:])
-    return s + comp
+    # err = (prev - (total - back)) + (add - back), back = total - prev,
+    # computed in comp's own rows.
+    prev, add, total, err = s[:-1], rows[1:], s[1:], comp[1:]
+    np.subtract(total, prev, out=err)
+    add = add - err
+    np.subtract(total, err, out=err)
+    np.subtract(prev, err, out=err)
+    np.add(err, add, out=err)
+    np.cumsum(err, axis=0, out=err)
+    s += comp
+    return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -357,7 +367,9 @@ def compile_network(net):
     linear part, the tap biases and units with w = 0 -- change at one
     break each; they are summed over the sorted breaks as compensated
     prefix sums.  The bounded middle segments of ramp and cubic units
-    are expanded about the anchor of each piece they cover.  Step breaks
+    are expanded about the anchor of each piece they cover, and each
+    piece adds its segments' terms to its coefficients in unit order,
+    one ordered bincount per degree and output.  Step breaks
     are placed where forward_grid's rounding of w*x + b switches the
     unit, so the compiled form takes the same side of every step.
 
@@ -369,7 +381,8 @@ def compile_network(net):
     overflows, as a3 * w**3 * c can).
     """
     w, b, taps, acts, group = net.weight, net.bias, net.taps, net.acts, net.group
-    kind = np.array([act.kind for act in acts])[group]
+    code = {k: i for i, k in enumerate(KINDS)}
+    kind = np.array([code[act.kind] for act in acts])[group]
     q = net.out_dim
 
     # Global parts: (position, change of level, change of slope) events;
@@ -399,27 +412,30 @@ def compile_network(net):
             np.array(const)[:, None] * taps[flat], np.zeros((len(const), q)))
 
     # step, ramp and cubic units saturate at 1 on the side of large z.
-    sat = ~flat & (kind != RELU)
-    step = sat & (kind == STEP)
+    sat = ~flat & (kind != code[RELU])
+    step = sat & (kind == code[STEP])
     mid = sat & ~step
     hi = np.empty(w.size)
     hi[step] = _step_breaks(w[step], b[step])
     hi[mid] = (1.0 - b[mid]) / w[mid]
     switch_on(sat, hi[sat], taps[sat], np.zeros((sat.sum(), q)))
 
-    relu = ~flat & (kind == RELU)
+    relu = ~flat & (kind == code[RELU])
     root = -b[relu] / w[relu]
     switch_on(relu, root, taps[relu] * b[relu, None],
               taps[relu] * w[relu, None])
 
     # Bounded middle segments of ramp and cubic units, z from zlo to 1,
-    # as polynomials sum_d poly[:, d] z**d (the ramp's is z).
+    # as polynomials sum_d poly[d, g] z**d for activation g (the ramp's
+    # is z).
     units = np.flatnonzero(mid)
-    zlo = np.where(kind[units] == CUBIC, -1.0, 0.0)
+    zlo = np.where(kind[units] == code[CUBIC], -1.0, 0.0)
     lo = (zlo - b[units]) / w[units]
-    ends = np.sort(np.column_stack([lo, hi[units]]), axis=1)
+    ends = np.empty((units.size, 2))
+    np.minimum(lo, hi[units], out=ends[:, 0])
+    np.maximum(lo, hi[units], out=ends[:, 1])
     poly = np.array([act.cubic_coeffs or (0.0, 1.0, 0.0, 0.0)
-                     for act in acts])[group[units]]
+                     for act in acts]).T
 
     pos = np.concatenate(pos)
     order = np.argsort(pos, kind="stable")
@@ -427,6 +443,10 @@ def compile_network(net):
     level = _compensated_cumsum(np.concatenate(level)[order])
     slope = _compensated_cumsum(np.concatenate(slope)[order])
 
+    # The order of this array is load-bearing for the golden pins: a
+    # break can be held as -0.0 next to +0.0 (a falling unit whose
+    # segment ends at x = 0 gives 0.0 / w = -0.0), and which zero
+    # np.unique's unstable sort keeps depends on where each one sits.
     breaks = np.unique(np.concatenate([pos, ends.ravel()]))
     breaks = breaks[np.isfinite(breaks)]
     if breaks.size:
@@ -444,18 +464,30 @@ def compile_network(net):
     seg = np.repeat(np.arange(units.size), count)
     offset = np.repeat(np.cumsum(count) - count, count)
     piece = first[seg] + np.arange(seg.size) - offset
-    ws = w[units][seg]
-    z = ws * anchors[piece] + b[units][seg]
-    a0, a1, a2, a3 = poly[seg].T
+    u = units[seg]
+    ws = w[u]
+    z = ws * anchors[piece] + b[u]
+    a0, a1, a2, a3 = poly.take(group[u], axis=1)
     taylor = (
         ((a3 * z + a2) * z + a1) * z + a0,
         ((3.0 * a3 * z + 2.0 * a2) * z + a1) * ws,
         (3.0 * a3 * z + a2) * ws * ws,
         a3 * ws * ws * ws,
     )
-    c = taps[units][seg]
+    c = taps[u]
+    # bincount adds its weights in order into bins that start at +0.0:
+    # each piece's own coefficient first, then its segments' terms, as
+    # np.add.at would add them.  The coefficients are never -0.0 (nor
+    # are the compensated sums they come from), so starting from +0.0
+    # changes no byte.
+    pieces = anchors.size
+    index = np.concatenate([np.arange(pieces), piece])
+    weights = np.empty(index.size)
     for d, part in enumerate(taylor):
-        np.add.at(coeffs[d], piece, part[:, None] * c)
+        for k in range(q):
+            weights[:pieces] = coeffs[d, :, k]
+            np.multiply(part, c[:, k], out=weights[pieces:])
+            coeffs[d, :, k] = np.bincount(index, weights, minlength=pieces)
 
     bad = ~np.isfinite(coeffs).all(axis=(0, 2))
     if bad.any():

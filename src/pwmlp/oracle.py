@@ -193,14 +193,18 @@ def _window(model, xs):
     the kernels whose support can contain each x; one window offset at a
     time, so that no temporary outgrows xs.
 
-    The window is padded by one row on both sides of the support, so a
-    floor of x/h rounded by one either way never drops an active kernel;
-    rows outside the model are clipped into range and get weight 0, so
-    their terms leave a sum that starts at +0.0 unchanged.  For the box
-    model the single covering box is yielded, corrected against the knot
-    array in both directions (x * n can round past a knot either way),
-    with the last box closed at x = 1 so the model agrees with the
-    step-sum network there.
+    The window is exact.  jc = int(x * n) and u = x * n - stride * row
+    come from the same product x * n, so x * n - stride * (jc // stride)
+    lies in [0, stride) and the offsets 1 - half .. half around row
+    jc // stride, half = ceil(radius / stride), cover every row with
+    |u| < radius.  The rows beyond them have |u| >= radius, where each
+    kernel is exactly 0.0, so leaving them out changes no byte of a sum
+    that starts at +0.0.  Rows outside the model are clipped into range
+    and get weight 0 for the same reason.  For the box model the single
+    covering box is yielded, corrected against the knot array in both
+    directions (x * n can round past a knot either way), with the last
+    box closed at x = 1 so the model agrees with the step-sum network
+    there.
     """
     n = model.grid.n
     knots = model.grid.knots
@@ -213,9 +217,9 @@ def _window(model, xs):
         yield j, np.ones(xs.size)
         return
     stride = _STRIDE[model.spacing]
-    half = _SUPPORT_RADIUS[model.kernel.kind] // stride
+    half = -(-_SUPPORT_RADIUS[model.kernel.kind] // stride)
     last = model.coefficients.shape[0] - 1
-    for off in range(-half, half + 2):
+    for off in range(1 - half, half + 1):
         rows = jc // stride + off
         valid = (rows >= 0) & (rows <= last)
         rows = np.clip(rows, 0, last)
@@ -241,7 +245,7 @@ def eval_oracle_grid(model, grid):
     coef = model.coefficients
     acc = np.zeros((xs.size, model.q), dtype=np.float64)
     for rows, weights in _window(model, xs):
-        acc += coef[rows, :] * weights[:, None]
+        acc += coef.take(rows, axis=0) * weights[:, None]
     return acc
 
 

@@ -1,12 +1,15 @@
 """Golden bytes: model JSON (format 2, and format 1 as the fixture writer
-in format1.py writes it), forward_grid output and the compiled form of
-45 built networks and one hybrid model, and eval_oracle_grid output of
-the matching oracles, pinned by one sha256 per method and part, the
-hybrid model counting as one more method.
+in format1.py writes it), forward_grid output, the compiled form and
+its evaluation on the same grid of 45 built networks and one hybrid
+model, and eval_oracle_grid output of the matching oracles, pinned by
+one sha256 per method and part, the hybrid model counting as one more
+method.
 
 A change to how networks are stored or built must leave every pin
 alone.  A change that moves bytes on purpose re-pins only the parts it
-meant to move and says which and why.
+meant to move and says which and why.  Run this file as a script,
+``PYTHONPATH=src python tests/test_golden.py``, to print the digests of
+the current code in the layout of GOLDEN_SHA256.
 """
 
 import hashlib
@@ -30,7 +33,8 @@ from pwmlp import (
     save_model,
 )
 
-PARTS = ("model", "model-v1", "forward", "compiled", "errors", "oracle")
+PARTS = ("model", "model-v1", "forward", "compiled", "compiled-eval",
+         "errors", "oracle")
 
 GOLDEN_SHA256 = {
     "constant/model":
@@ -41,6 +45,8 @@ GOLDEN_SHA256 = {
         "98e8986ec0733168b6a5874710ad47edb4f4fdb73ec9ac76600819abd5f85ad0",
     "constant/compiled":
         "ad17072a226b5a9dc26a12f11228cd958221d81033ef9cc3f18aede79c2abe61",
+    "constant/compiled-eval":
+        "98e8986ec0733168b6a5874710ad47edb4f4fdb73ec9ac76600819abd5f85ad0",
     "constant/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "constant/oracle":
@@ -53,6 +59,8 @@ GOLDEN_SHA256 = {
         "4f6ff729fa82a918de783b11d47817f423ebecc2bd5ca60d890d9681e8741f19",
     "linear-relu/compiled":
         "1c16b4e934fa2affdc7db9ab1f6998096c2eb563877926a5e5ee8d62316fb5cd",
+    "linear-relu/compiled-eval":
+        "ca6fb58ccf67e3aabcfbcf4f5e3d50baa1b8ca464430b6fe3d9a6a6e04c86fba",
     "linear-relu/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-relu/oracle":
@@ -65,6 +73,8 @@ GOLDEN_SHA256 = {
         "f11fa86fbcb0f6a91d61e5b66d4b946885fab692010c5c80ff3f41bda35ddd99",
     "linear-ramp/compiled":
         "d7df16e3c75b7cd4ef277e7ef81d541704b203386f7e239ddab36fef6a2c0d61",
+    "linear-ramp/compiled-eval":
+        "72dec089310733cab335fc857058982d9b0afaa7c39c417e861dca2deafe18f4",
     "linear-ramp/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "linear-ramp/oracle":
@@ -77,6 +87,8 @@ GOLDEN_SHA256 = {
         "0ae59c55379745f190b687bff8e410d700d151d4b3eeff5373a9dd62b2feeab6",
     "cubic/compiled":
         "626fb56d18000736336e944d8f84b4c37655226fb89585804e4181105a03b0a9",
+    "cubic/compiled-eval":
+        "57ae8f59795704228671c97934f24b3c0c1bd00723eae033713b043efea92264",
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic/oracle":
@@ -89,6 +101,8 @@ GOLDEN_SHA256 = {
         "2a4bf7247e13639ca5ac23ed4f627223a99b1bad5386544c1ec6bc9e8fc5f629",
     "cubic-spaced/compiled":
         "4c3d7799ceda118d5a58ca861db7e5d2d44ca35550bc15d926445d0270f21271",
+    "cubic-spaced/compiled-eval":
+        "534328d93eab4c49095d468445eda70f7ee1df1b78ad0572cdf37b77d94e857b",
     "cubic-spaced/errors":
         "24282b07cbbec270170fbd2c82aebb605f443ae6c08cc0d0ccf67be6402f5cd7",
     "cubic-spaced/oracle":
@@ -101,6 +115,8 @@ GOLDEN_SHA256 = {
         "84e3683df6ca02c20a8dbac648d4337baee94f07410fef5261401369b3ba6588",
     "hybrid/compiled":
         "20dd8935c7276cbdb78e757cdb0610418e02208389a8c6113d7094b2b5458234",
+    "hybrid/compiled-eval":
+        "31c6e8b0d093ff69faa10eeee824ae75535af8335e057278a96231b9e848b1ba",
 }
 
 # Signed zeros, signed smallest subnormals and signed 1e300 in an order
@@ -145,6 +161,14 @@ def _compiled_bytes(net):
     return pw.breaks.tobytes() + pw.anchors.tobytes() + pw.coeffs.tobytes()
 
 
+def _compiled_eval_bytes(net, xs):
+    with np.errstate(all="ignore"):
+        try:
+            return compile_network(net).eval(xs).tobytes()
+        except NumericalError:
+            return b"not finite"
+
+
 def _forward_bytes(net, xs):
     try:
         return forward_grid(net, xs).tobytes()
@@ -165,7 +189,8 @@ def _network_parts(net, xs):
     return {"model": save_model(net).encode(),
             "model-v1": format1_text(net).encode(),
             "forward": _forward_bytes(net, xs),
-            "compiled": _compiled_bytes(net)}
+            "compiled": _compiled_bytes(net),
+            "compiled-eval": _compiled_eval_bytes(net, xs)}
 
 
 def _cases():
@@ -224,3 +249,10 @@ def test_hybrid_model_round_trips_text():
     assert text.startswith('{\n  "format": 2,\n')
     assert save_model(load_model(text)) == text
     assert network_bytes(load_model(text)) == network_bytes(net)
+
+
+if __name__ == "__main__":
+    print("GOLDEN_SHA256 = {")
+    for key, value in _digests().items():
+        print('    "%s":\n        "%s",' % (key, value))
+    print("}")

@@ -140,18 +140,15 @@ def test_oracle_domain():
         eval_oracle_grid(model, np.array([]))
 
 
-def _naive_sum(model, x):
-    # full kernel sum, no locality window
-    n = model.grid.n
-    inv = float(n)
-    if model.spacing == "every-knot":
-        centers = model.grid.knots
-    else:
-        centers = model.grid.knots[0::2]
-    total = np.zeros(model.q)
-    for r, c in enumerate(centers):
-        w = eval_kernel(model.kernel, (x - c) * inv)
-        total += model.coefficients[r, :] * w
+def _naive_sum(model, xs):
+    # full kernel sum, no locality window: every kernel row r at
+    # u = x * n - stride * r, as the model defines it (the knot array
+    # is rounded off powers of two, by up to 3e-13 in u at n = 3000)
+    stride = 1 if model.spacing == "every-knot" else 2
+    xn = xs * model.grid.n
+    total = np.zeros((xs.size, model.q))
+    for r, c in enumerate(model.coefficients):
+        total += c * kernel_values(model.kernel, xn - stride * r)[:, None]
     return total
 
 
@@ -169,7 +166,8 @@ def _random_models(rng, n):
 
 def test_localized_window_matches_naive_sum():
     rng = np.random.default_rng(61)
-    for n in (2, 3, 8, 16):
+    # 1000 and 3000 are not powers of two, so x * n rounds
+    for n in (2, 3, 8, 16, 1000, 3000):
         for model in _random_models(rng, n):
             if model.kernel.kind == "box":
                 # the naive sum inherits the kernel's jump at u = 1, so
@@ -179,10 +177,45 @@ def test_localized_window_matches_naive_sum():
             else:
                 xs = np.concatenate([rng.uniform(0.0, 1.0, 200),
                                      model.grid.knots, [0.0, 1.0]])
-            for x in xs:
-                got = eval_oracle(model, x)
-                want = _naive_sum(model, x)
-                assert np.max(np.abs(got - want)) <= 1e-14
+            got = eval_oracle_grid(model, xs)
+            want = _naive_sum(model, xs)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _offset_models(n):
+    """(model, stride, half) for every kernel and spacing whose window
+    runs over row offsets; half = ceil(support radius / stride)."""
+    grid = KnotGrid.uniform(n)
+    bumps = [KernelKind.cubic_bump(s) for s in (0.0, 0.5, 0.75)]
+    for kernel in [KernelKind.triangle()] + bumps:
+        radius = 1 if kernel.kind == "triangle" else 2
+        yield PiecewiseOracle(grid, kernel, np.ones(n + 1)), 1, radius
+        if n % 2 == 0:
+            yield PiecewiseOracle(grid, kernel, np.ones(n // 2 + 1),
+                                  spacing="every-other-knot"), 2, 1
+
+
+@pytest.mark.parametrize("n", [7, 1000, 3000, 4096])
+def test_window_leaves_out_only_rows_of_weight_zero(n):
+    # The window visits the offsets 1 - half .. half around row
+    # floor(x * n) // stride; the rows just beyond, at -half and
+    # half + 1, must weigh exactly 0.0 wherever x * n rounds.
+    rng = np.random.default_rng(n)
+    knots = KnotGrid.uniform(n).knots
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 2000), knots,
+                         np.nextafter(knots[1:], 0.0),
+                         np.nextafter(knots[:-1], 1.0), [0.0, 1.0]])
+    xn = xs * n
+    for model, stride, half in _offset_models(n):
+        base = xn.astype(np.int64) // stride
+        last = model.coefficients.shape[0] - 1
+        inner = (base >= half) & (base + half < last)
+        visited = [np.unique(rows[inner] - base[inner]).tolist()
+                   for rows, _ in oracle._window(model, xs)]
+        assert visited == [[off] for off in range(1 - half, half + 1)]
+        for off in (-half, half + 1):
+            u = xn - stride * (base + off)
+            assert np.all(kernel_values(model.kernel, u) == 0.0)
 
 
 def test_grid_evaluation_matches_scalar():
