@@ -50,7 +50,8 @@ class Activation:
     """Tagged activation: one of step/relu/ramp/cubic.
 
     ``cubic_coeffs`` holds (a0, a1, a2, a3) and is present exactly when
-    kind is cubic.
+    kind is cubic.  It must equal solve_cubic_coefficients(a1), the tuple
+    stored: a model file keeps only a1.
     """
 
     kind: str
@@ -60,17 +61,13 @@ class Activation:
         if self.kind not in KINDS:
             raise DomainError("unknown activation kind %r" % (self.kind,))
         if self.kind == CUBIC:
-            if self.cubic_coeffs is None:
-                raise DomainError("cubic activation requires coefficients")
-            a0, a1, a2, a3 = (float(c) for c in self.cubic_coeffs)
-            if (
-                abs(a2) > 1e-15
-                or abs(a0 - 0.5) > 1e-15
-                or abs(a1 + a3 - 0.5) > 1e-15
-            ):
-                raise DomainError("cubic coefficients violate shape constraints")
-            if not (0.0 <= a1 <= 0.75):
-                raise DomainError("non-monotone cubic: a1=%r" % (a1,))
+            if self.cubic_coeffs is None or len(self.cubic_coeffs) != 4:
+                raise DomainError("cubic activation requires (a0, a1, a2, a3)")
+            coeffs = solve_cubic_coefficients(self.cubic_coeffs[1])
+            if tuple(self.cubic_coeffs) != coeffs:
+                raise DomainError("cubic coefficients %r are not %r"
+                                  % (self.cubic_coeffs, coeffs))
+            object.__setattr__(self, "cubic_coeffs", coeffs)
         elif self.cubic_coeffs is not None:
             raise DomainError("coefficients only apply to the cubic kind")
 

@@ -106,8 +106,10 @@ def verify_equivalence(net, model, grid_size=10001, tol=1e-9):
     deviation is measured again on the network's own forward pass, one
     point of forward_grid, and the larger of the two is reported: the
     verdict never rests on the compiled form alone at the point that
-    decides it.
+    decides it.  tol must be a number >= 0 (UsageError otherwise).
     """
+    if not float(tol) >= 0.0:
+        raise UsageError("tolerance must be >= 0, got %r" % (tol,))
     if net.out_dim != model.q:
         raise UsageError(
             "network has %d outputs, model has %d" % (net.out_dim, model.q)

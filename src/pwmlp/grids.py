@@ -7,6 +7,16 @@ import numpy as np
 from .errors import UsageError
 
 
+def _uniform_knots(n):
+    """The knots j * (1/n), j = 0..n; UsageError when numpy refuses the
+    count."""
+    try:
+        return np.arange(n + 1, dtype=np.float64) * (1.0 / n)
+    except (ValueError, MemoryError) as exc:
+        raise UsageError("knot grid of n = %d cannot be made: %s"
+                         % (n, exc)) from None
+
+
 @dataclass(frozen=True)
 class KnotGrid:
     """Partition of [0, 1] into n equal subintervals: x_j = j*h, h = 1/n."""
@@ -24,9 +34,8 @@ class KnotGrid:
         # The builders take unit weights from n and biases from the
         # knots, and the oracle windows by floor(x * n): only the uniform
         # grid, bit for bit, is one that both honour.
-        h = 1.0 / self.n
-        knots = np.arange(self.n + 1, dtype=np.float64) * h
-        if self.h != h or k.tobytes() != knots.tobytes():
+        knots = _uniform_knots(self.n)
+        if self.h != 1.0 / self.n or k.tobytes() != knots.tobytes():
             raise UsageError("knot grid must be uniform: h = 1/n and "
                              "knots j * (1/n), as KnotGrid.uniform(n) makes")
         knots.flags.writeable = False
@@ -37,8 +46,7 @@ class KnotGrid:
         n = int(n)
         if n < 1:
             raise UsageError("knot grid needs n >= 1")
-        h = 1.0 / n
-        return KnotGrid(n, h, np.arange(n + 1, dtype=np.float64) * h)
+        return KnotGrid(n, 1.0 / n, _uniform_knots(n))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ Models serialize to JSON as those arrays, one per field (format 2),
 with shortest-round-trip number formatting, so a save/load cycle
 reproduces the arrays and the evaluation results bit for bit.  The
 loader also reads format 1, which stored one object per neuron and per
-output, into the same arrays.
+output, into the same arrays: it gathers each field into a column and
+checks it as format 2 checks its arrays.
 """
 
 import json
@@ -161,6 +162,17 @@ def _tile_activations(acts, members, z, spare, start):
     return spare
 
 
+def _two_sum_error(prev, add, total, err):
+    """err = the exact rounding error of total = prev + add, by
+    branch-free TwoSum (equal to Neumaier's branch); add is overwritten:
+    err = (prev - (total - back)) + (add - back), back = total - prev."""
+    np.subtract(total, prev, out=err)
+    np.subtract(add, err, out=add)
+    np.subtract(total, err, out=err)
+    np.subtract(prev, err, out=err)
+    np.add(err, add, out=err)
+
+
 def _neumaier_lanes(a, c, total, comp, v, s, e):
     """Add c[j] * a[:, j] for each neuron j in order to the running
     Neumaier sums total and their compensation comp, in place.
@@ -185,16 +197,9 @@ def _neumaier_lanes(a, c, total, comp, v, s, e):
     tile_v[:, 0] = total
     np.multiply(a, c, out=tile_v[:, 1:])
     np.cumsum(sums_v, axis=1, out=sums_s)
-    # TwoSum over the flat buffers, s[i] = s[i-L] + v[i]:
-    # err = (prev - (tot - back)) + (add - back), back = tot - prev.
-    # The entries at the start of each row pair two rows; the seed
-    # overwrites them.
-    prev, tot, add, err = s[:-lanes], s[lanes:], v[lanes:], e[lanes:]
-    np.subtract(tot, prev, out=err)
-    np.subtract(add, err, out=add)
-    np.subtract(tot, err, out=err)
-    np.subtract(prev, err, out=err)
-    np.add(err, add, out=err)
+    # TwoSum over the flat buffers, s[i] = s[i-L] + v[i].  The entries
+    # at the start of each row pair two rows; the seed overwrites them.
+    _two_sum_error(s[:-lanes], v[lanes:], s[lanes:], e[lanes:])
     tile_e[:, 0] = comp
     np.cumsum(sums_e, axis=1, out=sums_v)
     total[:] = tile_s[:, -1]
@@ -340,17 +345,12 @@ def _compensated_cumsum(rows):
     exact rounding errors of the additions before it (TwoSum): Neumaier
     summation without a Python loop.  No entry of the result is -0.0:
     TwoSum's error term never is, and s + comp is -0.0 only if both are.
+    rows is overwritten.
     """
     s = np.cumsum(rows, axis=0)
     comp = np.zeros_like(s)
-    # err = (prev - (total - back)) + (add - back), back = total - prev,
-    # computed in comp's own rows.
-    prev, add, total, err = s[:-1], rows[1:], s[1:], comp[1:]
-    np.subtract(total, prev, out=err)
-    add = add - err
-    np.subtract(total, err, out=err)
-    np.subtract(prev, err, out=err)
-    np.add(err, add, out=err)
+    err = comp[1:]
+    _two_sum_error(s[:-1], rows[1:], s[1:], err)
     np.cumsum(err, axis=0, out=err)
     s += comp
     return s
@@ -572,11 +572,11 @@ def _number(value, path):
     return v
 
 
-def _numbers(values, path):
+def _numbers(values, path, element="%s[%d]"):
     """A list of finite JSON numbers as a float64 array.
 
     One type scan, one conversion and one finiteness test; only when
-    one of them fails are the elements walked to name the bad index.
+    one of them fails are the elements walked, naming element % (path, i).
     """
     _require(isinstance(values, list), path, "expected a list of numbers")
     if set(map(type, values)) <= {int, float}:
@@ -587,7 +587,7 @@ def _numbers(values, path):
         else:
             if np.isfinite(arr).all():
                 return arr
-    return np.array([_number(v, "%s[%d]" % (path, i))
+    return np.array([_number(v, element % (path, i))
                      for i, v in enumerate(values)], dtype=np.float64)
 
 
@@ -611,53 +611,53 @@ def _activation(act, path):
         raise FormatError(str(exc), path=path + ".a1") from exc
 
 
+def _objects(doc, key, what):
+    """doc[key], checked to be a nonempty list of JSON objects."""
+    items = doc.get(key)
+    _require(isinstance(items, list) and len(items) >= 1, key,
+             "model needs a nonempty %s list" % what)
+    if not set(map(type, items)) <= {dict}:
+        for i, item in enumerate(items):
+            _require(isinstance(item, dict), "%s[%d]" % (key, i),
+                     "%s must be an object" % what)
+    return items
+
+
 def _format1_columns(doc, n):
     """Columns of a format-1 document: one object per neuron and per
-    output, plus a knot grid description."""
+    output, plus a knot grid description.  Each field is gathered into
+    a column and checked as format 2 checks its arrays."""
     knots = doc.get("knots")
     _require(isinstance(knots, dict), "knots", "missing knot grid description")
     _require(knots.get("n") == n, "knots.n", "knot count disagrees with n")
 
-    raw_neurons = doc.get("neurons")
-    _require(
-        isinstance(raw_neurons, list) and len(raw_neurons) >= 1,
-        "neurons",
-        "model needs a nonempty neuron list",
-    )
-    weight, bias, group, acts = [], [], [], []
-    # Keyed with a1's sign: a1 = 0.0 and -0.0 are equal as Activations
-    # but saved differently.
-    index = {}
-    for i, item in enumerate(raw_neurons):
-        path = "neurons[%d]" % i
-        _require(isinstance(item, dict), path, "neuron must be an object")
-        weight.append(_number(item.get("weight"), path + ".weight"))
-        bias.append(_number(item.get("bias"), path + ".bias"))
-        act = _activation(item.get("activation"), path + ".activation")
-        key = act
-        if act.kind == CUBIC:
-            key = (act, math.copysign(1.0, act.cubic_coeffs[1]))
-        if key not in index:
-            index[key] = len(acts)
-            acts.append(act)
-        group.append(index[key])
+    neurons = _objects(doc, "neurons", "neuron")
+    weight = _numbers([item.get("weight") for item in neurons], "neurons",
+                      "%s[%d].weight")
+    bias = _numbers([item.get("bias") for item in neurons], "neurons",
+                    "%s[%d].bias")
+    # Each distinct activation object (by repr, which tells a1 = 0 from
+    # False and 0.0 from -0.0) is read once, at its first neuron.  index
+    # merges the results, a1 = 0 with 0.0, keyed with a1's repr since
+    # Activations with a1 = 0.0 and -0.0 are equal but saved differently.
+    raw = [item.get("activation") for item in neurons]
+    keys = list(map(repr, raw))
+    index, slot = {}, {}
+    for i, key in enumerate(keys):
+        if key not in slot:
+            act = _activation(raw[i], "neurons[%d].activation" % i)
+            slot[key] = index.setdefault((act, repr(act.a1)), len(index))
+    group = [slot[key] for key in keys]
 
-    raw_outputs = doc.get("outputs")
-    _require(
-        isinstance(raw_outputs, list) and len(raw_outputs) >= 1,
-        "outputs",
-        "model needs a nonempty output list",
-    )
-    taps, tap_bias = [], []
-    for k, item in enumerate(raw_outputs):
-        path = "outputs[%d]" % k
-        _require(isinstance(item, dict), path, "output tap must be an object")
-        weights = item.get("weights")
-        _require(isinstance(weights, list), path + ".weights", "missing weight list")
-        _require_length(weights, len(weight), "neuron", path + ".weights")
-        taps.append(_numbers(weights, path + ".weights"))
-        tap_bias.append(_number(item.get("bias"), path + ".bias"))
-    return weight, bias, acts, group, taps, tap_bias
+    outputs = _objects(doc, "outputs", "output")
+    taps = []
+    for k, item in enumerate(outputs):
+        path = "outputs[%d].weights" % k
+        taps.append(_numbers(item.get("weights"), path))
+        _require_length(taps[-1], weight.size, "neuron", path)
+    tap_bias = _numbers([item.get("bias") for item in outputs], "outputs",
+                        "%s[%d].bias")
+    return weight, bias, [act for act, _ in index], group, taps, tap_bias
 
 
 def _format2_columns(doc):
@@ -704,7 +704,7 @@ def load_model(text):
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError("invalid JSON: %s" % (exc,)) from exc
     _require(isinstance(doc, dict), "$", "model document must be an object")
     _require(isinstance(doc.get("method"), str), "method", "missing method tag")

@@ -52,6 +52,41 @@ def test_activation_kind_validation():
         Activation("cubic", cubic_coeffs=(0.5, 0.9, 0.0, -0.4))
 
 
+def test_cubic_coefficients_must_be_the_canonical_tuple():
+    # A model file keeps only a1, so coefficients even one ulp off the
+    # canonical tuple would evaluate differently after a save and load.
+    canonical = solve_cubic_coefficients(0.75)
+    for i in (0, 2, 3):
+        for step in (-math.inf, math.inf):
+            near = list(canonical)
+            near[i] = math.nextafter(near[i], step)
+            with pytest.raises(DomainError):
+                Activation("cubic", tuple(near))
+    for near in ((0.5000000000000001, 0.75, 1e-16, -0.25),
+                 (0.5, 0.75, 1e-16, -0.25),
+                 (0.5, math.nextafter(0.75, 0.0), 0.0, -0.25),
+                 (0.5, 0.5, 0.0, 1e-17)):
+        with pytest.raises(DomainError):
+            Activation("cubic", near)
+    for length in (3, 5):
+        with pytest.raises(DomainError):
+            Activation("cubic", (canonical + (0.0,))[:length])
+
+
+def test_cubic_stores_the_canonical_tuple():
+    # equal values of other types or signs are stored as the solve's
+    # tuple of floats, and a list as a tuple, so activations hash
+    for given in ([0.5, 0.75, 0.0, -0.25], (0.5, 0.75, -0.0, -0.25),
+                  (0.5, 0.75, 0, -0.25), np.array([0.5, 0.75, 0.0, -0.25])):
+        act = Activation("cubic", given)
+        assert type(act.cubic_coeffs) is tuple
+        assert [type(c) for c in act.cubic_coeffs] == [float] * 4
+        assert repr(act.cubic_coeffs) == repr(solve_cubic_coefficients(0.75))
+        assert act == Activation.cubic() and hash(act) == hash(Activation.cubic())
+    act = Activation("cubic", (0.5, -0.0, 0.0, 0.5))
+    assert math.copysign(1.0, act.a1) == -1.0
+
+
 def test_step_closed_at_zero():
     step = Activation.step()
     assert eval_activation(step, 0.0) == 1.0

@@ -113,6 +113,16 @@ def test_verify_equivalence_flags_mismatched_pair():
     assert 0.0 <= report.worst_x <= 1.0
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1.0])
+def test_verify_equivalence_refuses_a_nan_or_negative_tol(tol):
+    samples = _samples(8, "sin2pi")
+    net = build_network("linear-ramp", samples)
+    model = matching_oracle("linear-ramp", samples)
+    with pytest.raises(UsageError, match="tolerance"):
+        verify_equivalence(net, model, tol=tol)
+    assert verify_equivalence(net, model, tol=0.0).tol == 0.0
+
+
 def test_cubic_on_rough_data_meets_the_contract_at_16384():
     def noise(n):
         values = np.random.default_rng(11).uniform(-1.0, 1.0, n + 1)

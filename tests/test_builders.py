@@ -44,6 +44,10 @@ def test_grid_validation():
         KnotGrid(2, 0.25, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(UsageError, match="uniform"):
         KnotGrid(2, 0.5, np.array([0.0, 0.3, 1.0]))
+    # knot counts numpy refuses before it allocates anything
+    for n in (10**19, 10**21):
+        with pytest.raises(UsageError, match=str(n)):
+            KnotGrid.uniform(n)
 
 
 def test_target_samples_shapes():

@@ -139,6 +139,9 @@ def test_eval_bad_inputs(tmp_path, capsys):
     code, out, err = run(capsys, "eval", str(bad), "--grid", "5")
     assert (code, out) == (3, "") and "Traceback" not in err
     assert "error: %s: not UTF-8 text" % bad in err
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "eval", str(bad), "--grid", "5")
+    assert (code, out) == (3, "") and "Traceback" not in err
 
 
 def _built_model(tmp_path, capsys):
@@ -254,6 +257,23 @@ def test_verify_refused_grid_count_exits_2(capsys):
     assert str(10**20) in err
 
 
+@pytest.mark.parametrize("n", [10**19, 10**21])
+def test_refused_knot_count_exits_2(tmp_path, capsys, n):
+    # numpy refuses these counts before it allocates anything
+    csv_path = tmp_path / "dense.csv"
+    csv_path.write_text("x,y\n0,0\n1,1\n")
+    for argv in (["build", "--method", "constant", "--target", "sin2pi",
+                  "--out", str(tmp_path / "m.json")],
+                 ["verify", "--method", "constant", "--target", "sin2pi"],
+                 ["fit-kernel", "box", "--csv", str(csv_path),
+                  "--out", str(tmp_path / "fit.json")]):
+        code, out, err = run(capsys, *argv, "--n", str(n))
+        assert code == 2 and out == "", argv
+        assert str(n) in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--method", "cubic-spaced",
                        "--n", "7", "--target", "sin2pi")
@@ -261,6 +281,10 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--method", "cubic", "--n", "8",
                        "--target", "sin2pi", "--slope", "0.9")
     assert code == 2
+    for tol in ("nan", "-1e-9"):
+        code, out, err = run(capsys, "verify", "--method", "linear-ramp",
+                             "--n", "8", "--target", "sin2pi", "--tol=" + tol)
+        assert code == 2 and out == "" and "tolerance" in err
 
 
 def _write_samples(path, values):

@@ -568,6 +568,8 @@ def test_load_rejects_malformed_documents():
         load_model("{not json")
     with pytest.raises(FormatError):
         load_model("[1, 2]")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load_model('{"n": %s}' % ("[" * 100_000 + "]" * 100_000))
 
     doc = _doc()
     del doc["method"]
@@ -709,6 +711,30 @@ def test_load_rejects_misplaced_or_bad_format2_a1():
     doc = _doc2("cubic")
     del doc["acts"][0]["a1"]
     _expect_format_error(doc, "acts[0].a1")
+
+
+def _v1_doc(*a1s):
+    neurons = [{"weight": 1.0, "bias": 0.0,
+                "activation": {"kind": "cubic", "a1": a1}} for a1 in a1s]
+    return {"method": "constant", "n": 1, "knots": {"n": 1},
+            "neurons": neurons,
+            "outputs": [{"weights": [1.0] * len(a1s), "bias": 0.0}]}
+
+
+def test_format1_reads_an_a1_of_0_and_of_0_0_as_one_activation():
+    # json.dumps writes 0 as "0", 0.0 as "0.0" and -0.0 as "-0.0"
+    for a1s, group, acts in (((0, 0.0, 0), [0, 0, 0], ["0.0"]),
+                             ((0.0, 0), [0, 0], ["0.0"]),
+                             ((0, -0.0, 0.0, -0.0), [0, 1, 0, 1],
+                              ["0.0", "-0.0"]),
+                             ((-0.0, 0), [0, 1], ["-0.0", "0.0"])):
+        net = load_model(json.dumps(_v1_doc(*a1s)))
+        assert net.group.tolist() == group
+        assert [repr(act.a1) for act in net.acts] == acts
+    # false equals 0 in Python but is not a number: it is refused even
+    # after a neuron whose a1 = 0 was read
+    _expect_format_error(_v1_doc(0, 0.0, False), "neurons[2].activation.a1")
+    _expect_format_error(_v1_doc(0.5, 0.5, 0.9), "neurons[2].activation.a1")
 
 
 def test_load_keeps_the_sign_of_a_zero_a1():
