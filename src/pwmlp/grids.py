@@ -9,12 +9,16 @@ from .errors import UsageError
 
 def _uniform_knots(n):
     """The knots j * (1/n), j = 0..n; UsageError when numpy refuses the
-    count."""
+    count, or returns fewer knots (as it does for n + 1 near 2**63)."""
     try:
-        return np.arange(n + 1, dtype=np.float64) * (1.0 / n)
+        knots = np.arange(n + 1, dtype=np.float64) * (1.0 / n)
     except (ValueError, MemoryError) as exc:
         raise UsageError("knot grid of n = %d cannot be made: %s"
                          % (n, exc)) from None
+    if knots.size != n + 1:
+        raise UsageError("knot grid of n = %d cannot be made: numpy "
+                         "returned %d knots" % (n, knots.size))
+    return knots
 
 
 @dataclass(frozen=True)

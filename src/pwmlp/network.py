@@ -443,11 +443,10 @@ def compile_network(net):
     level = _compensated_cumsum(np.concatenate(level)[order])
     slope = _compensated_cumsum(np.concatenate(slope)[order])
 
-    # The order of this array is load-bearing for the golden pins: a
-    # break can be held as -0.0 next to +0.0 (a falling unit whose
-    # segment ends at x = 0 gives 0.0 / w = -0.0), and which zero
-    # np.unique's unstable sort keeps depends on where each one sits.
-    breaks = np.unique(np.concatenate([pos, ends.ravel()]))
+    # + 0.0 turns a break at -0.0 (a falling unit whose segment ends at
+    # x = 0 gives 0.0 / w = -0.0) into +0.0, so np.unique keeps one zero
+    # whatever the order of the array.
+    breaks = np.unique(np.concatenate([pos, ends.ravel()]) + 0.0)
     breaks = breaks[np.isfinite(breaks)]
     if breaks.size:
         anchors = np.concatenate([breaks[:1], breaks])

@@ -4,15 +4,15 @@ These are the ground truth the constructed networks are checked
 against: box kernels give the piecewise-constant model, triangle
 kernels the piecewise-linear interpolant, and cubic bump kernels the
 two smooth designs.  One locality window of kernel rows and weights
-serves every evaluation: the grid path, a single point, and each axis
+serves every evaluation (the grid path, a single point, and each axis
 of the tensor-product sum, whose p = 1 case is the grid path bit for
-bit.  The every-knot bump weights solve the coupling system in its sine
-eigenbasis (O(N log N), refined to about eps * |g|), which shares no
-solver with the construction side's Thomas sweep; only the residual
-used by the refinement of both is common.  A brute-force dense LU of
-the same system and a ridge-regularized least-squares kernel fit live
-here too, as cross-checks at small sizes, and a moment audit of the
-polynomial degree each kernel's shifts reproduce.
+bit) and the least-squares kernel fit.  The every-knot bump weights
+solve the coupling system in its sine eigenbasis (O(N log N), refined
+to about eps * |g|), which shares no solver with the construction
+side's Thomas sweep; only the residual used by the refinement of both
+is common.  A brute-force dense LU of the same system lives here too,
+as a cross-check at small sizes, and a moment audit of the polynomial
+degree each kernel's shifts reproduce.
 """
 
 import itertools
@@ -201,10 +201,10 @@ def _window(model, xs):
     kernel is exactly 0.0, so leaving them out changes no byte of a sum
     that starts at +0.0.  Rows outside the model are clipped into range
     and get weight 0 for the same reason.  For the box model the single
-    covering box is yielded, corrected against the knot array in both
-    directions (x * n can round past a knot either way), with the last
-    box closed at x = 1 so the model agrees with the step-sum network
-    there.
+    covering box is yielded: box j holds x once x * n >= n * x_j, the
+    rounded test by which the step unit at x_j switches, corrected from
+    int(x * n) in both directions, with the last box closed at x = 1 as
+    the step-sum network is.
     """
     n = model.grid.n
     knots = model.grid.knots
@@ -212,8 +212,8 @@ def _window(model, xs):
     jc = xn.astype(np.int64)
     if model.kernel.kind == BOX:
         j = np.minimum(jc, n - 1)
-        j = j - ((j > 0) & (xs < knots[j]))
-        j = j + ((j < n - 1) & (xs >= knots[j + 1]))
+        j = j - ((j > 0) & (xn < n * knots[j]))
+        j = j + ((j < n - 1) & (xn >= n * knots[j + 1]))
         yield j, np.ones(xs.size)
         return
     stride = _STRIDE[model.spacing]
@@ -403,8 +403,11 @@ class KernelFit:
 def fit_kernel_weights(dense_samples, kernel, grid):
     """Fit weights w_j minimizing sum_i (y_i - sum_j w_j K(h^-1(x_i - x_j)))^2.
 
-    Solved through the normal equations with a tiny ridge on the
-    diagonal.  Needs at least as many samples as knots.
+    The kernels are placed by the oracle's window, so the weights and
+    rms_residual are those of the model eval_oracle_grid evaluates; a
+    row no sample reaches (the box's row N) gets weight 0.0.  The normal
+    equations are summed from the window in O(m) and solved with a tiny
+    ridge on the diagonal.  Needs at least as many samples as knots.
     """
     data = np.asarray(dense_samples, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -422,18 +425,21 @@ def fit_kernel_weights(dense_samples, kernel, grid):
     if xs.min() < 0.0 or xs.max() > 1.0:
         raise DomainError("sample locations must lie in [0, 1]")
 
-    inv = float(grid.n)
-    a = np.empty((m, cols), dtype=np.float64)
-    for j in range(cols):
-        a[:, j] = kernel_values(kernel, (xs - grid.knots[j]) * inv)
-    gram = a.T @ a + RIDGE * np.eye(cols)
+    terms = list(_window(PiecewiseOracle(grid, kernel, np.zeros(cols)), xs))
+    index = np.concatenate([r * cols + s for r, _ in terms for s, _ in terms])
+    prods = np.concatenate([w * v for _, w in terms for _, v in terms])
+    gram = np.bincount(index, prods, minlength=cols * cols).reshape(cols, cols)
+    gram.flat[::cols + 1] += RIDGE
+    rows, weights = (np.concatenate(t) for t in zip(*terms))
+    rhs = np.bincount(rows, weights * np.tile(ys, len(terms)), minlength=cols)
     try:
-        omega = np.linalg.solve(gram, a.T @ ys)
+        omega = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("normal equations singular: %s" % (exc,)) from exc
     if not np.all(np.isfinite(omega)):
         raise NumericalError("kernel fit produced non-finite weights")
-    rms = float(np.sqrt(np.mean((a @ omega - ys) ** 2)))
+    fitted = eval_oracle_grid(PiecewiseOracle(grid, kernel, omega), xs)[:, 0]
+    rms = float(np.sqrt(np.mean((fitted - ys) ** 2)))
     return KernelFit(omega=omega, kernel=kernel, grid=grid, rms_residual=rms)
 
 

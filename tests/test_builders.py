@@ -44,9 +44,11 @@ def test_grid_validation():
         KnotGrid(2, 0.25, np.array([0.0, 0.5, 1.0]))
     with pytest.raises(UsageError, match="uniform"):
         KnotGrid(2, 0.5, np.array([0.0, 0.3, 1.0]))
-    # knot counts numpy refuses before it allocates anything
-    for n in (10**19, 10**21):
-        with pytest.raises(UsageError, match=str(n)):
+    # knot counts numpy refuses before it allocates anything, and two
+    # near 2**63 for which it returns no knots at all
+    for n in (10**19, 10**21, 2**63 - 2, 2**63 - 1):
+        with pytest.raises(UsageError,
+                           match="knot grid of n = %d cannot be made" % n):
             KnotGrid.uniform(n)
 
 

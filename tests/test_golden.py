@@ -72,7 +72,7 @@ GOLDEN_SHA256 = {
     "linear-ramp/forward":
         "f11fa86fbcb0f6a91d61e5b66d4b946885fab692010c5c80ff3f41bda35ddd99",
     "linear-ramp/compiled":
-        "d7df16e3c75b7cd4ef277e7ef81d541704b203386f7e239ddab36fef6a2c0d61",
+        "07d85f093fd80a1a208e72da05a51f9153c67e8e4d8ada1dd629df6f24a715f5",
     "linear-ramp/compiled-eval":
         "72dec089310733cab335fc857058982d9b0afaa7c39c417e861dca2deafe18f4",
     "linear-ramp/errors":
@@ -86,7 +86,7 @@ GOLDEN_SHA256 = {
     "cubic/forward":
         "0ae59c55379745f190b687bff8e410d700d151d4b3eeff5373a9dd62b2feeab6",
     "cubic/compiled":
-        "626fb56d18000736336e944d8f84b4c37655226fb89585804e4181105a03b0a9",
+        "cbe6d693b3fc775cabf5d55872a3aeb034032f11b80453fe49d22922e6a739eb",
     "cubic/compiled-eval":
         "57ae8f59795704228671c97934f24b3c0c1bd00723eae033713b043efea92264",
     "cubic/errors":
@@ -100,7 +100,7 @@ GOLDEN_SHA256 = {
     "cubic-spaced/forward":
         "2a4bf7247e13639ca5ac23ed4f627223a99b1bad5386544c1ec6bc9e8fc5f629",
     "cubic-spaced/compiled":
-        "4c3d7799ceda118d5a58ca861db7e5d2d44ca35550bc15d926445d0270f21271",
+        "013ad4a52b0c191d7140b32d0fbddeee583bc39e9d2db2ef28fe6390f63387b8",
     "cubic-spaced/compiled-eval":
         "534328d93eab4c49095d468445eda70f7ee1df1b78ad0572cdf37b77d94e857b",
     "cubic-spaced/errors":

@@ -380,7 +380,7 @@ def test_compiled_form_raises_on_non_finite_coefficients():
     samples = TargetSamples(KnotGrid.uniform(1), np.array([0.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="x=-0.0"):
+        with pytest.raises(NumericalError, match=r"x=0\.0$"):
             compile_network(net)
         with pytest.raises(NumericalError):
             verify_equivalence(net, matching_oracle("linear-relu", samples),

@@ -383,6 +383,31 @@ def test_fit_recovers_triangle_expansion():
     assert fit.rms_residual <= 1e-10
 
 
+@pytest.mark.parametrize("n", [7, 49, 64])
+@pytest.mark.parametrize("kernel, bound", [
+    (KernelKind.box(), 1e-13),
+    (KernelKind.triangle(), 1e-13),
+    (KernelKind.cubic_bump(), 1e-10),
+])
+def test_fit_weights_are_those_of_the_oracle(kernel, bound, n):
+    # The reference fit's column j is the oracle with unit weight j, so
+    # the fit must place kernels exactly as eval_oracle_grid does: at
+    # n = 49, x * n rounds below j at several knots, and x = 1 lies in
+    # box n - 1, so box row n is never read.
+    rng = np.random.default_rng(n)
+    grid = KnotGrid.uniform(n)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 4 * n), grid.knots, [1.0]])
+    ys = rng.uniform(-1.0, 1.0, xs.size)
+    fit = fit_kernel_weights(np.column_stack([xs, ys]), kernel, grid)
+    a = np.column_stack([
+        eval_oracle_grid(PiecewiseOracle(grid, kernel, e), xs)[:, 0]
+        for e in np.eye(n + 1)])
+    want = np.linalg.solve(a.T @ a + oracle.RIDGE * np.eye(n + 1), a.T @ ys)
+    assert np.max(np.abs(fit.omega - want)) <= bound
+    fitted = eval_oracle_grid(PiecewiseOracle(grid, kernel, fit.omega), xs)
+    assert fit.rms_residual == float(np.sqrt(np.mean((fitted[:, 0] - ys) ** 2)))
+
+
 def test_fit_validation():
     grid = KnotGrid.uniform(8)
     tri = KernelKind.triangle()

@@ -1,10 +1,14 @@
-"""Property tests: the model file is an exact record of a network.
+"""Property tests: the model file is an exact record of a network, and
+every built network matches its reference model at every knot.
 
 Hypothesis draws small hybrid networks (every activation kind, cubic
 slopes including +-0.0, signed-zero and extreme weights and taps) and
 checks that saving and loading changes neither the text, nor a byte of
 the network, nor a byte of its outputs, and that format 1 loads to the
-same arrays as format 2.  The runs are derandomized and keep no example
+same arrays as format 2.  It also draws knot counts N (powers of two or
+not) and knot data, and checks each method's network against its
+matching oracle at every knot and both of its float neighbours, where
+x * N rounds either way.  The runs are derandomized and keep no example
 database, so the suite is deterministic and writes no files.
 """
 
@@ -16,10 +20,16 @@ from hypothesis import strategies as st
 from pwmlp import (
     METHODS,
     Activation,
+    KnotGrid,
     Network,
     NumericalError,
+    TargetSamples,
+    build_network,
+    compile_network,
+    eval_oracle_grid,
     forward_grid,
     load_model,
+    matching_oracle,
     save_model,
 )
 
@@ -71,3 +81,30 @@ def test_save_and_load_change_no_byte(net, points):
     xs = np.array(points)
     assert _outputs(loaded, xs) == _outputs(net, xs)
     assert network_bytes(load_model(format1_text(net))) == network_bytes(loaded)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 512), st.booleans(), st.integers(0, 2**32 - 1))
+def test_networks_match_their_oracles_around_every_knot(n, signs, seed):
+    # The contract, 1e-9 * max(1, |f|), at the knots and their float
+    # neighbours: the compiled form everywhere, then the network's own
+    # forward pass at the compiled form's worst point.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, n + 1)
+    if signs:
+        values = np.where(values < 0.0, -1.0, 1.0)
+    samples = TargetSamples(KnotGrid.uniform(n), values)
+    knots = samples.grid.knots
+    xs = np.clip(np.concatenate([knots, np.nextafter(knots, -1.0),
+                                 np.nextafter(knots, 2.0)]), 0.0, 1.0)
+    for method in METHODS:
+        if method == "cubic-spaced" and n % 2:
+            continue
+        net = build_network(method, samples)
+        ref = eval_oracle_grid(matching_oracle(method, samples), xs)[:, 0]
+        scale = np.maximum(1.0, np.abs(ref))
+        dev = np.abs(compile_network(net).eval(xs)[:, 0] - ref) / scale
+        i = int(np.argmax(dev))
+        assert dev[i] <= 1e-9, (method, n, xs[i], dev[i])
+        dense = abs(forward_grid(net, xs[i:i + 1])[0, 0] - ref[i]) / scale[i]
+        assert dense <= 1e-9, (method, n, xs[i], dense)
