@@ -24,7 +24,6 @@ from .builders import (
     CouplingSolution,
     build_network,
     solve_bump_coupling,
-    thomas_solve,
 )
 from .errors import (
     DomainError,

@@ -24,9 +24,10 @@ a group with their tap values c_j, and the units of a group (_DESIGNS):
   linear-ramp   per knot a ramp rising at x_{j-1} plus one falling at
                 x_{j+1}, taps (c, c): again c_j * (triangle + 1).
   cubic         the same pair with the monotone cubic, a unit bump plus
-                1; c_j = g_j solves the tridiagonal coupling system
+                1; c_j = g_j solves the coupling system
                 g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j, since adjacent
-                bumps overlap with value 0.5 at distance h.
+                bumps overlap with value 0.5 at distance h, in closed
+                form (two prefix sums per column).
   cubic-spaced  bumps only at even knots (no overlap at the knots, so
                 no coupling solve), c_j = f_j; N must be even.
 
@@ -43,56 +44,25 @@ import numpy as np
 from .activations import CUBIC, DEFAULT_SLOPE, RAMP, RELU, STEP, Activation
 from .errors import NumericalError, UsageError
 from .network import Network
-from .oracle import refine_coupling
+from .oracle import coupling_residual, refine_coupling
 
 
-def _thomas_factor(lower, diag, upper):
-    """The elimination half of thomas_solve, which depends on the bands
-    only: (sub-diagonal, pivots, multipliers cp) as float lists, to be
-    reused by _thomas_sweep for any number of right-hand sides.  Raises
-    NumericalError on a zero pivot."""
-    lo, d, up = (np.asarray(v, dtype=np.float64).tolist()
-                 for v in (lower, diag, upper))
-    m = len(d)
-    piv = [0.0] * m
-    cp = [0.0] * m
-    for i in range(m):
-        p = d[i] - lo[i] * cp[i - 1] if i else d[0]
-        if p == 0.0:
-            raise NumericalError("zero pivot in tridiagonal elimination")
-        piv[i] = p
-        cp[i] = up[i] / p if i < m - 1 else 0.0
-    return lo, piv, cp
+def _green_solve(f):
+    """One solve of A g = f for the coupling matrix A (unit diagonal,
+    0.5 on both off-diagonals), column by column, in closed form.
 
-
-def _thomas_sweep(factor, rhs):
-    """Forward and back substitution of one right-hand side through a
-    _thomas_factor, on Python floats."""
-    lo, piv, cp = factor
-    r = np.asarray(rhs, dtype=np.float64).tolist()
-    x = [r[0] / piv[0]]
-    for ri, li, pi in zip(r[1:], lo[1:], piv[1:]):
-        x.append((ri - li * x[-1]) / pi)
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = x[i] - cp[i] * x[i + 1]
-    return np.array(x)
-
-
-def thomas_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system in O(n) without pivoting.
-
-        | d0 u0          |   x0     r0
-        | l1 d1 u1       | * x1  =  r1
-        |    l2 d2 u2    |   x2     r2
-        |       ...      |   ..     ..
-
-    lower[0] and upper[-1] are ignored.  No pivoting is performed, so
-    the caller must supply a matrix where elimination cannot break down
-    (positive definite or diagonally dominant).  The recurrences run on
-    Python floats, which round as float64 does and cost less to index
-    than numpy scalars.
+    A = D L D / 2 with D = diag((-1)^j) and L the Dirichlet Laplacian
+    tridiag(-1, 2, -1) of size m, so g = 2 D L^-1 D f.  With t the
+    double prefix sum of h = D f and t_0 = 0, y_j = j t_m / (m + 1) -
+    t_{j-1} (j = 1..m) has second difference -h_j and vanishes at
+    j = 0 and j = m + 1, so y = L^-1 h.
     """
-    return _thomas_sweep(_thomas_factor(lower, diag, upper), rhs)
+    m = f.shape[0]
+    sign = np.where(np.arange(m) % 2, -1.0, 1.0)[:, None]
+    t = np.cumsum(np.cumsum(sign * f, axis=0), axis=0)
+    y = np.arange(1, m + 1)[:, None] * t[-1] / (m + 1)
+    y[1:] -= t[:-1]
+    return 2.0 * sign * y
 
 
 @dataclass(frozen=True)
@@ -106,35 +76,27 @@ class CouplingSolution:
 def solve_bump_coupling(samples):
     """Solve g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j with g_{-1} = g_{N+1} = 0.
 
-    The matrix (unit diagonal, 0.5 off-diagonals) is symmetric positive
-    definite for every N -- its eigenvalues are 1 + cos(k pi / (N+2)) > 0
-    -- so the unpivoted Thomas sweep cannot break down.  Its condition
-    grows like N^2, so the sweep's g is refined (oracle.refine_coupling)
-    to about eps * max|g|.  The plain float residual of the result must
-    stay within 1e-10 * max(1, |f|); on huge rough data the sweep can
-    overflow, and a non-finite residual fails the check too.  Raises
-    NumericalError naming the first output column that fails.
+    The matrix is symmetric positive definite for every N -- its
+    eigenvalues are 1 + cos(k pi / (N+2)) > 0 -- and its closed-form
+    inverse (_green_solve) takes two prefix sums per column.  Its
+    condition grows like N^2, so the closed form's g is refined
+    (oracle.refine_coupling) to about eps * max|g|.  The residual of
+    the result (oracle.coupling_residual) must stay within
+    1e-10 * max(1, |f|); on huge rough data g can overflow, and a
+    non-finite residual fails the check too.  Raises NumericalError
+    naming the first output column that fails.
     """
     f = samples.values
-    m, q = f.shape
-    factor = _thomas_factor(np.full(m, 0.5), np.ones(m), np.full(m, 0.5))
-
-    def sweep(rhs):
-        return np.column_stack([_thomas_sweep(factor, col) for col in rhs.T])
-
     with np.errstate(over="ignore", invalid="ignore"):
-        g = refine_coupling(sweep, f)
-        overlap = g.copy()
-        overlap[:-1] += 0.5 * g[1:]
-        overlap[1:] += 0.5 * g[:-1]
-        residual = np.max(np.abs(overlap - f), axis=0)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    for k in range(q):
-        if not residual[k] <= 1e-10 * scale:
-            raise NumericalError(
-                "coupling residual %.3e of output %d exceeds tolerance"
-                % (residual[k], k)
-            )
+        g = refine_coupling(_green_solve, f)
+        residual = np.max(np.abs(coupling_residual(g, f)), axis=0)
+    failed = ~(residual <= 1e-10 * max(1.0, float(np.max(np.abs(f)))))
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise NumericalError(
+            "coupling residual %.3e of output %d exceeds tolerance"
+            % (residual[k], k)
+        )
     return CouplingSolution(g=g, residual_max=float(np.max(residual)))
 
 

@@ -312,7 +312,7 @@ def cmd_info(args):
     print("  constant      N step neurons")
     print("  linear-relu   4(N+1) ReLU neurons")
     print("  linear-ramp   2(N+1) ramp neurons")
-    print("  cubic         2(N+1) cubic neurons, tridiagonal coupling solve")
+    print("  cubic         2(N+1) cubic neurons, closed-form coupling solve")
     print("  cubic-spaced  N+2 cubic neurons, N even")
     print("kernels: box, triangle, cubic (bump; --slope sets the inflection slope)")
     print("builtin targets:")

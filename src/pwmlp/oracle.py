@@ -9,10 +9,10 @@ of the tensor-product sum, whose p = 1 case is the grid path bit for
 bit) and the least-squares kernel fit.  The every-knot bump weights
 solve the coupling system in its sine eigenbasis (O(N log N), refined
 to about eps * |g|), which shares no solver with the construction
-side's Thomas sweep; only the residual used by the refinement of both
-is common.  A brute-force dense LU of the same system lives here too,
-as a cross-check at small sizes, and a moment audit of the polynomial
-degree each kernel's shifts reproduce.
+side's closed form; only the refinement of both, with its residual and
+its power-of-two scaling, is common.  A brute-force dense LU of the
+same system lives here too, as a cross-check at small sizes, and a
+moment audit of the polynomial degree each kernel's shifts reproduce.
 """
 
 import itertools
@@ -322,11 +322,18 @@ def refine_coupling(solve, f):
     """g = solve(f), then REFINEMENT_STEPS steps of iterative refinement:
     solve A d = r for r = coupling_residual(g, f) and set g += d.
 
-    solve maps an (m, q) right-hand side to its (m, q) solution.
+    solve maps an (m, q) right-hand side to its (m, q) solution.  Each
+    column goes to solve scaled by a power of two to a max|.| in
+    [0.5, 1), and its solution is scaled back, so that a solve's
+    intermediate sums cannot overflow where g itself is finite.
     """
-    g = solve(f)
+    def scaled(rhs):
+        e = np.frexp(np.max(np.abs(rhs), axis=0))[1]
+        return np.ldexp(solve(np.ldexp(rhs, -e)), e)
+
+    g = scaled(f)
     for _ in range(REFINEMENT_STEPS):
-        g = g + solve(coupling_residual(g, f))
+        g = g + scaled(coupling_residual(g, f))
     return g
 
 
@@ -355,8 +362,9 @@ def sine_solve_coupling(samples):
     time and O(N) memory, refined with refine_coupling.
 
     The reference solve of matching_oracle("cubic"): it shares no code
-    with the construction side's Thomas sweep, and both refined solves
-    reach the same g to within a few units in the last place of max|g|.
+    with the construction side's closed-form solve, and both refined
+    solves reach the same g to within a few units in the last place of
+    max|g|.
     Raises NumericalError, naming the output column, when g overflows.
     """
     f = samples.values
@@ -373,8 +381,8 @@ def dense_solve_coupling(samples):
     """Brute-force LU solve of the bump-coupling system.
 
     The matrix has unit diagonal and 0.5 on both off-diagonals; this is
-    a cross-check of the two O(N) and O(N log N) solvers at small N,
-    where its (N+1)^2 matrix fits in memory.
+    a cross-check of the O(N) closed form and the O(N log N) sine solve
+    at small N, where its (N+1)^2 matrix fits in memory.
     """
     n = samples.grid.n
     # Filled in place, so the matrix is the only (n+1)^2 array besides
@@ -407,7 +415,9 @@ def fit_kernel_weights(dense_samples, kernel, grid):
     rms_residual are those of the model eval_oracle_grid evaluates; a
     row no sample reaches (the box's row N) gets weight 0.0.  The normal
     equations are summed from the window in O(m) and solved with a tiny
-    ridge on the diagonal.  Needs at least as many samples as knots.
+    ridge on the diagonal.  Needs at least as many samples as knots;
+    raises UsageError when the dense (N+1)^2 Gram matrix cannot be
+    allocated.
     """
     data = np.asarray(dense_samples, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -428,7 +438,11 @@ def fit_kernel_weights(dense_samples, kernel, grid):
     terms = list(_window(PiecewiseOracle(grid, kernel, np.zeros(cols)), xs))
     index = np.concatenate([r * cols + s for r, _ in terms for s, _ in terms])
     prods = np.concatenate([w * v for _, w in terms for _, v in terms])
-    gram = np.bincount(index, prods, minlength=cols * cols).reshape(cols, cols)
+    try:
+        gram = np.bincount(index, prods, minlength=cols * cols).reshape(cols, cols)
+    except MemoryError as exc:
+        raise UsageError("kernel fit of N = %d cannot be made: %s"
+                         % (grid.n, exc)) from None
     gram.flat[::cols + 1] += RIDGE
     rows, weights = (np.concatenate(t) for t in zip(*terms))
     rhs = np.bincount(rows, weights * np.tile(ys, len(terms)), minlength=cols)
@@ -448,7 +462,7 @@ def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
 
     The coupled-bump coefficients are computed with the sine-transform
     solve (sine_solve_coupling), deliberately NOT with the
-    construction-side tridiagonal solver, so a network-vs-oracle
+    construction side's closed-form solve, so a network-vs-oracle
     comparison exercises both solvers end to end.
     """
     grid = samples.grid

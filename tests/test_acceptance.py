@@ -185,15 +185,15 @@ def test_criterion_04_coupling_solver_cross_check(report):
         grid = KnotGrid.uniform(n)
         values = rng.uniform(-5.0, 5.0, (n + 1, 100))
         samples = TargetSamples(grid, values)
-        sweep = solve_bump_coupling(samples).g
+        closed = solve_bump_coupling(samples).g
         dense = dense_solve_coupling(samples)
-        worst = max(worst, float(np.max(np.abs(sweep - dense))))
+        worst = max(worst, float(np.max(np.abs(closed - dense))))
     hand = solve_bump_coupling(
         TargetSamples(KnotGrid.uniform(2), np.ones(3))
     ).g[:, 0]
     hand_dev = float(np.max(np.abs(hand - np.array([1.0, 0.0, 1.0]))))
     ok = worst <= 1e-10 and hand_dev <= 1e-12
-    report("%s criterion 4: tridiagonal vs dense solve on 100 random "
+    report("%s criterion 4: closed-form vs dense solve on 100 random "
            "targets for each N in 2..64, worst %.2e (tol 1e-10); hand "
            "case deviation %.2e" % ("PASS" if ok else "FAIL", worst,
                                     hand_dev))

@@ -1,4 +1,4 @@
-"""Unit tests for knot grids, the tridiagonal solve, and the five
+"""Unit tests for knot grids, the coupling solve, and the five
 construction methods."""
 
 import math
@@ -17,9 +17,7 @@ from pwmlp import (
     forward,
     forward_grid,
     solve_bump_coupling,
-    thomas_solve,
 )
-from pwmlp.oracle import refine_coupling
 
 
 def test_uniform_grid_exact_knots():
@@ -70,60 +68,6 @@ def test_target_samples_from_function():
     assert np.array_equal(samples.values[:, 0], 2.0 * grid.knots)
 
 
-def test_thomas_hand_case():
-    # [[2,1,0],[1,2,1],[0,1,2]] x = [4,8,8] has solution [1,2,3]
-    x = thomas_solve(
-        np.array([0.0, 1.0, 1.0]),
-        np.array([2.0, 2.0, 2.0]),
-        np.array([1.0, 1.0, 0.0]),
-        np.array([4.0, 8.0, 8.0]),
-    )
-    assert np.max(np.abs(x - np.array([1.0, 2.0, 3.0]))) <= 1e-14
-
-
-def test_thomas_single_equation():
-    assert thomas_solve(np.zeros(1), np.array([4.0]), np.zeros(1),
-                        np.array([2.0]))[0] == 0.5
-
-
-def test_thomas_zero_pivot():
-    with pytest.raises(NumericalError):
-        thomas_solve(np.zeros(1), np.zeros(1), np.zeros(1), np.ones(1))
-
-
-def test_thomas_matches_dense_solve_random():
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        m = int(rng.integers(1, 40))
-        diag = rng.uniform(2.5, 4.0, m)
-        lower = rng.uniform(-1.0, 1.0, m)
-        upper = rng.uniform(-1.0, 1.0, m)
-        rhs = rng.uniform(-5.0, 5.0, m)
-        # diagonally dominant by construction, so no pivoting needed
-        a = np.diag(diag)
-        for i in range(1, m):
-            a[i, i - 1] = lower[i]
-        for i in range(m - 1):
-            a[i, i + 1] = upper[i]
-        x = thomas_solve(lower, diag, upper, rhs)
-        assert np.max(np.abs(x - np.linalg.solve(a, rhs))) <= 1e-10
-
-
-def test_bump_coupling_equals_refined_thomas_solves():
-    # one factorization serves every sweep and column, bit for bit
-    grid = KnotGrid.uniform(64)
-    rng = np.random.default_rng(3)
-    samples = TargetSamples(grid, np.column_stack([
-        np.sin(5.0 * grid.knots), rng.uniform(-1.0, 1.0, 65)]))
-    bands = (np.full(65, 0.5), np.ones(65), np.full(65, 0.5))
-
-    def sweep(rhs):
-        return np.column_stack([thomas_solve(*bands, col) for col in rhs.T])
-
-    g = refine_coupling(sweep, samples.values)
-    assert solve_bump_coupling(samples).g.tobytes() == g.tobytes()
-
-
 def test_bump_coupling_hand_case():
     grid = KnotGrid.uniform(2)
     sol = solve_bump_coupling(TargetSamples(grid, np.ones(3)))
@@ -132,7 +76,7 @@ def test_bump_coupling_hand_case():
 
 
 def test_bump_coupling_overflow_fails_the_residual_check():
-    # the sweep overflows to +-inf and the residual is NaN, which must
+    # g overflows to +-inf and the residual is NaN, which must
     # fail the check rather than pass it
     samples = TargetSamples(KnotGrid.uniform(64),
                             1e307 * (-1.0) ** np.arange(65))
@@ -300,8 +244,8 @@ def test_unknown_method_rejected():
 def _overflowing_samples():
     """(method, knot values at N = 64) whose taps overflow: alternating
     +-1e308 telescopes to +-2e308, the tap biases of 1e307 sin 2 pi x and
-    of 1e308 overflow inside fsum, and alternating +-1e307 overflows
-    the coupling sweep."""
+    of 1e308 overflow inside fsum, and alternating +-1e307 has a
+    coupling solution g that overflows."""
     x = KnotGrid.uniform(64).knots
     alternating = (-1.0) ** np.arange(65)
     sine = 1e307 * np.sin(2.0 * np.pi * x)

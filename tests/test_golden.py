@@ -80,15 +80,15 @@ GOLDEN_SHA256 = {
     "linear-ramp/oracle":
         "63679865f48ef38f74f34e4c1a6421e5b7527e053d45c3cc0e47273e7453e10c",
     "cubic/model":
-        "d11cf2d9582c4176130d02530d65df4a6b3e689b57033d45c3a0333c510c3686",
+        "0aa9c1aa42d26d5317967b69b48dec54ae7a6fdf8824472a14167e7659a11e46",
     "cubic/model-v1":
-        "def1ee7f998fc43e03c0cae38b917e55ab9a4cbde622112200ffd462851a2b6c",
+        "24ce3a55422be3ac8f8df82138f0c3deaecd7827bafe36762080cad131237af9",
     "cubic/forward":
-        "0ae59c55379745f190b687bff8e410d700d151d4b3eeff5373a9dd62b2feeab6",
+        "ed6fcd328e2d1e9be91430e310a718dde54d962cab744fca2f17d442a77be619",
     "cubic/compiled":
-        "cbe6d693b3fc775cabf5d55872a3aeb034032f11b80453fe49d22922e6a739eb",
+        "ca86853293db717682900c2c88291f525e8c228e0ce1e7beb34368a0e910c7a8",
     "cubic/compiled-eval":
-        "57ae8f59795704228671c97934f24b3c0c1bd00723eae033713b043efea92264",
+        "865f7df4eaef6a62d38e019bd8d15769fab4b78048b7e81805d452e952563750",
     "cubic/errors":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cubic/oracle":

@@ -296,14 +296,14 @@ def test_tensor_product_validation():
         eval_tensor_product([tri, tri], corner, [0.5, 1.5])
 
 
-def test_dense_coupling_matches_thomas():
+def test_dense_coupling_matches_closed_form():
     rng = np.random.default_rng(79)
     for n in (2, 5, 16, 33):
         grid = KnotGrid.uniform(n)
         samples = TargetSamples(grid, rng.uniform(-4.0, 4.0, (n + 1, 3)))
         dense = dense_solve_coupling(samples)
-        sweep = solve_bump_coupling(samples).g
-        assert np.max(np.abs(dense - sweep)) <= 1e-10
+        closed = solve_bump_coupling(samples).g
+        assert np.max(np.abs(dense - closed)) <= 1e-10
         assert np.max(np.abs(dense - sine_solve_coupling(samples))) <= 1e-10
 
 
@@ -334,9 +334,9 @@ def _coupling_cases(sizes):
 @pytest.mark.parametrize("solve", [
     lambda samples: solve_bump_coupling(samples).g,
     sine_solve_coupling,
-], ids=["thomas", "sine"])
+], ids=["closed-form", "sine"])
 def test_refined_coupling_matches_exact_solve(solve):
-    # unrefined, the Thomas sweep is off by up to ~120 eps * max|g| here
+    # unrefined, the closed form is off by up to ~140 eps * max|g| here
     for samples in _coupling_cases((1, 2, 3, 4, 7, 16, 31, 64, 127, 200, 255)):
         exact = np.column_stack([_exact_coupling(col.tolist())
                                  for col in samples.values.T])
@@ -344,11 +344,30 @@ def test_refined_coupling_matches_exact_solve(solve):
         assert dev <= EPS * np.max(np.abs(exact))
 
 
-def test_refined_thomas_and_sine_coupling_agree():
+def test_refined_closed_form_and_sine_coupling_agree():
     for samples in _coupling_cases((1, 2, 7, 64, 513, 4096, 16384)):
-        thomas = solve_bump_coupling(samples).g
-        dev = np.max(np.abs(thomas - sine_solve_coupling(samples)))
-        assert dev <= 2.0 * EPS * np.max(np.abs(thomas))
+        closed = solve_bump_coupling(samples).g
+        dev = np.max(np.abs(closed - sine_solve_coupling(samples)))
+        assert dev <= 2.0 * EPS * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("n, values", [
+    (64, lambda j: np.full(j.size, 1e307)),
+    (513, lambda j: np.full(j.size, 1e307)),
+    (4096, lambda j: np.full(j.size, 1e307)),
+    (4096, lambda j: 1e306 * np.sin(j)),
+], ids=["1e307-64", "1e307-513", "1e307-4096", "1e306-sin-4096"])
+def test_coupling_solves_scale_huge_columns(n, values):
+    # g is finite here, yet unscaled the closed form's prefix sums and
+    # the sine transform's sums overflow; refine_coupling hands each
+    # solve its columns scaled by a power of two
+    samples = TargetSamples(KnotGrid.uniform(n), values(np.arange(n + 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = solve_bump_coupling(samples).g
+        sine = sine_solve_coupling(samples)
+    assert np.all(np.isfinite(closed)) and np.all(np.isfinite(sine))
+    assert np.max(np.abs(closed - sine)) <= 2.0 * EPS * np.max(np.abs(closed))
 
 
 def test_sine_coupling_overflow_names_the_column():
@@ -422,6 +441,16 @@ def test_fit_validation():
     with pytest.raises(DomainError):
         xs = np.linspace(-0.5, 1.0, 20)
         fit_kernel_weights(np.column_stack([xs, xs]), tri, grid)
+
+
+def test_fit_refuses_a_gram_matrix_it_cannot_allocate():
+    # (10^6 + 1)^2 Gram entries are 7.3 TiB, which numpy refuses at once;
+    # never try a size that might be allocated
+    n = 10**6
+    xs = np.linspace(0.0, 1.0, n + 1)
+    with pytest.raises(UsageError, match="kernel fit of N = 1000000 cannot"):
+        fit_kernel_weights(np.column_stack([xs, np.zeros(n + 1)]),
+                           KernelKind.box(), KnotGrid.uniform(n))
 
 
 def test_matching_oracle_selection():

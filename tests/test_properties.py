@@ -8,7 +8,9 @@ the network, nor a byte of its outputs, and that format 1 loads to the
 same arrays as format 2.  It also draws knot counts N (powers of two or
 not) and knot data, and checks each method's network against its
 matching oracle at every knot and both of its float neighbours, where
-x * N rounds either way.  The runs are derandomized and keep no example
+x * N rounds either way, also on data scaled by 10^-300 to 10^300,
+where a method may instead refuse with a typed error.  The runs are
+derandomized and keep no example
 database, so the suite is deterministic and writes no files.
 """
 
@@ -23,6 +25,7 @@ from pwmlp import (
     KnotGrid,
     Network,
     NumericalError,
+    PwmlpError,
     TargetSamples,
     build_network,
     compile_network,
@@ -108,3 +111,36 @@ def test_networks_match_their_oracles_around_every_knot(n, signs, seed):
         assert dev[i] <= 1e-9, (method, n, xs[i], dev[i])
         dense = abs(forward_grid(net, xs[i:i + 1])[0, 0] - ref[i]) / scale[i]
         assert dense <= 1e-9, (method, n, xs[i], dense)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 512), st.integers(1, 3), st.integers(-300, 300),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_extreme_magnitudes_meet_the_contract_or_fail_typed(n, q, k, signs,
+                                                            seed):
+    # Each method either refuses with a PwmlpError or meets the
+    # contract, 1e-9 * max(1, max|f|) per output, at the knots and their
+    # float neighbours: the compiled form everywhere, then the network's
+    # own forward pass at the compiled form's worst point.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (n + 1, q))
+    if signs:
+        values = np.where(values < 0.0, -1.0, 1.0)
+    samples = TargetSamples(KnotGrid.uniform(n), values * 10.0**k)
+    knots = samples.grid.knots
+    xs = np.clip(np.concatenate([knots, np.nextafter(knots, -1.0),
+                                 np.nextafter(knots, 2.0)]), 0.0, 1.0)
+    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(samples.values), axis=0))
+    for method in METHODS:
+        if method == "cubic-spaced" and n % 2:
+            continue
+        try:
+            net = build_network(method, samples)
+            ref = eval_oracle_grid(matching_oracle(method, samples), xs)
+            dev = np.abs(compile_network(net).eval(xs) - ref) / tol
+        except PwmlpError:
+            continue
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        assert dev[i, j] <= 1.0, (method, n, k, xs[i], j, dev[i, j])
+        dense = abs(forward_grid(net, xs[i:i + 1])[0, j] - ref[i, j]) / tol[j]
+        assert dense <= 1.0, (method, n, k, xs[i], j, dense)
