@@ -23,6 +23,7 @@ from .builders import (
     METHODS,
     CouplingSolution,
     build_network,
+    matching_oracle,
     solve_bump_coupling,
 )
 from .errors import (
@@ -53,7 +54,6 @@ from .oracle import (
     eval_tensor_product,
     fit_kernel_weights,
     kernel_values,
-    matching_oracle,
     reproduction_degree,
     sine_solve_coupling,
 )

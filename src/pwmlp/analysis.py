@@ -7,11 +7,11 @@ from typing import Tuple
 import numpy as np
 
 from .activations import DEFAULT_SLOPE
-from .builders import build_network
+from .builders import build_network, matching_oracle
 from .errors import NumericalError, UsageError
 from .grids import KnotGrid, TargetSamples
 from .network import compile_network, forward_grid
-from .oracle import eval_oracle_grid, matching_oracle
+from .oracle import eval_oracle_grid
 from .targets import TargetDef, get_target
 
 # Sup errors at or below this (relative) level are floating-point noise,

@@ -13,26 +13,29 @@ Boundary knots reference the virtual positions x_{-1} = -h and
 x_{N+1} = 1 + h; those lie outside [0, 1], which is harmless because
 equivalence with the reference models is only claimed on [0, 1].
 
-The five methods differ only in the activation, the knots that carry
-a group with their tap values c_j, and the units of a group (_DESIGNS):
+Each method is one row of _DESIGNS, and build_network and
+matching_oracle both read it: (kind, units, kernel, spacing, coupled)
+is the activation kind, the units of one group, and the kernel and
+spacing of the kernel-sum model the network realizes, with coupled
+telling where that model's coefficients c_j solve the coupling system
+g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j (adjacent bumps overlap with value
+0.5 at distance h) instead of being the samples at the spacing's knots.
 
-  constant      a step rising at x_j for j < N; c_j = f_j - f_{j-1}
-                (telescoped, f_{-1} = 0).
+  constant      a step rising at x_j for j < N; a box is the difference
+                of two steps, so the taps are c_j - c_{j-1}, c_{-1} = 0.
   linear-relu   per knot four ReLUs rising at x_{j-1} and x_j and
                 falling at x_{j+1} and x_j, with taps (c, -c, c, -c):
-                their sum is c_j * (triangle + 1); c_j = f_j.
+                their sum is c_j * (triangle + 1).
   linear-ramp   per knot a ramp rising at x_{j-1} plus one falling at
                 x_{j+1}, taps (c, c): again c_j * (triangle + 1).
   cubic         the same pair with the monotone cubic, a unit bump plus
-                1; c_j = g_j solves the coupling system
-                g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j, since adjacent
-                bumps overlap with value 0.5 at distance h, in closed
-                form (two prefix sums per column).
-  cubic-spaced  bumps only at even knots (no overlap at the knots, so
-                no coupling solve), c_j = f_j; N must be even.
+                1; coupled.
+  cubic-spaced  bumps only at even knots, which do not overlap at the
+                knots, so c_j = f_j; N must be even.
 
-Where a group sums to c_j * (kernel + 1), the tap bias removes the
-shift: the exactly rounded sum of -c_j / len(group) over every unit.
+For every kernel but the box, a group sums to c_j * (kernel + 1), and
+the tap bias removes the shift: the exactly rounded sum of
+-c_j / len(group) over every unit.
 """
 
 import math
@@ -44,7 +47,19 @@ import numpy as np
 from .activations import CUBIC, DEFAULT_SLOPE, RAMP, RELU, STEP, Activation
 from .errors import NumericalError, UsageError
 from .network import Network
-from .oracle import coupling_residual, refine_coupling
+from .oracle import (
+    _STRIDE,
+    BOX,
+    CUBIC_BUMP,
+    EVERY_KNOT,
+    EVERY_OTHER_KNOT,
+    TRIANGLE,
+    KernelKind,
+    PiecewiseOracle,
+    coupling_residual,
+    refine_coupling,
+    sine_solve_coupling,
+)
 
 
 def _green_solve(f):
@@ -100,39 +115,32 @@ def solve_bump_coupling(samples):
     return CouplingSolution(g=g, residual_max=float(np.max(residual)))
 
 
-def _telescoped(samples):
-    f = samples.values
-    return np.arange(samples.grid.n), np.diff(f[:-1], axis=0, prepend=0.0)
-
-
-def _every_knot(samples):
-    return np.arange(samples.grid.n + 1), samples.values
-
-
-def _coupled(samples):
-    return np.arange(samples.grid.n + 1), solve_bump_coupling(samples).g
-
-
-def _even_knots(samples):
-    if samples.grid.n % 2 != 0:
-        raise UsageError("spaced design requires even N")
-    return np.arange(0, samples.grid.n + 1, 2), samples.values[::2]
-
-
 # A unit is (direction, knot offset, tap sign): it rises (+1) or falls
 # (-1) at x_{j+offset}, and its tap is sign * c_j.
 _PAIR = ((1.0, -1, 1.0), (-1.0, 1, 1.0))
-_Design = namedtuple("_Design", "kind taps units plus_one")
+_Design = namedtuple("_Design", "kind units kernel spacing coupled")
 _DESIGNS = {
-    "constant": _Design(STEP, _telescoped, ((1.0, 0, 1.0),), False),
-    "linear-relu": _Design(RELU, _every_knot,
-                           ((1.0, -1, 1.0), (1.0, 0, -1.0),
-                            (-1.0, 1, 1.0), (-1.0, 0, -1.0)), True),
-    "linear-ramp": _Design(RAMP, _every_knot, _PAIR, True),
-    "cubic": _Design(CUBIC, _coupled, _PAIR, True),
-    "cubic-spaced": _Design(CUBIC, _even_knots, _PAIR, True),
+    "constant": _Design(STEP, ((1.0, 0, 1.0),), BOX, EVERY_KNOT, False),
+    "linear-relu": _Design(RELU, ((1.0, -1, 1.0), (1.0, 0, -1.0),
+                                  (-1.0, 1, 1.0), (-1.0, 0, -1.0)),
+                           TRIANGLE, EVERY_KNOT, False),
+    "linear-ramp": _Design(RAMP, _PAIR, TRIANGLE, EVERY_KNOT, False),
+    "cubic": _Design(CUBIC, _PAIR, CUBIC_BUMP, EVERY_KNOT, True),
+    "cubic-spaced": _Design(CUBIC, _PAIR, CUBIC_BUMP, EVERY_OTHER_KNOT, False),
 }
 METHODS = tuple(_DESIGNS)
+
+
+def _design(method, grid):
+    """The design row of method and its knot stride; UsageError for an
+    unknown method or an N the stride does not divide."""
+    design = _DESIGNS.get(method) if isinstance(method, str) else None
+    if design is None:
+        raise UsageError("unknown construction method %r" % (method,))
+    stride = _STRIDE[design.spacing]
+    if grid.n % stride:
+        raise UsageError("%s design requires even N" % method)
+    return design, stride
 
 
 def build_network(method, samples, slope=DEFAULT_SLOPE):
@@ -143,18 +151,19 @@ def build_network(method, samples, slope=DEFAULT_SLOPE):
     Raises NumericalError, naming the output column, when a tap or a
     tap bias overflows.
     """
-    design = _DESIGNS.get(method)
-    if design is None:
-        raise UsageError("unknown construction method %r" % (method,))
+    design, stride = _design(method, samples.grid)
     act = Activation.cubic(slope) if design.kind == CUBIC else Activation(design.kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        knots, c = design.taps(samples)
+        c = solve_bump_coupling(samples).g if design.coupled else samples.values[::stride]
+        if design.kernel == BOX:
+            c = np.diff(c[:-1], axis=0, prepend=0.0)
+    knots = stride * np.arange(len(c))
     q = c.shape[1]
     tap_bias = np.zeros(q)
     for k in range(q):
         if not np.all(np.isfinite(c[:, k])):
             raise NumericalError("tap weights of output %d are not finite" % k)
-        if design.plus_one:
+        if design.kernel != BOX:
             share = -c[:, k] / len(design.units)
             try:
                 tap_bias[k] = math.fsum(np.repeat(share, len(design.units)).tolist())
@@ -169,3 +178,18 @@ def build_network(method, samples, slope=DEFAULT_SLOPE):
     taps = (c[:, None, :] * sign[:, None]).reshape(-1, q)
     return Network(weight, bias, (act,), np.zeros(weight.size, np.int64),
                    taps, tap_bias, method, grid.n)
+
+
+def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
+    """The reference model a given construction method must reproduce.
+
+    The coupled-bump coefficients are computed with the sine-transform
+    solve (sine_solve_coupling), deliberately NOT with the
+    construction side's closed-form solve, so a network-vs-oracle
+    comparison exercises both solvers end to end.
+    """
+    design, stride = _design(method, samples.grid)
+    kernel = (KernelKind.cubic_bump(slope) if design.kernel == CUBIC_BUMP
+              else KernelKind(design.kernel))
+    c = sine_solve_coupling(samples) if design.coupled else samples.values[::stride]
+    return PiecewiseOracle(samples.grid, kernel, c, design.spacing)

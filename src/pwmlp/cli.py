@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .activations import DEFAULT_SLOPE
 from .analysis import estimate_order, uniform_grid, verify_equivalence
-from .builders import METHODS, build_network
+from .builders import METHODS, build_network, matching_oracle
 from .errors import DomainError, FormatError, NumericalError, UsageError
 from .grids import KnotGrid, TargetSamples
 from .network import forward_grid, load_model, save_model
-from .oracle import KernelKind, fit_kernel_weights, matching_oracle
+from .oracle import KernelKind, fit_kernel_weights
 from .targets import TARGETS, get_target
 
 KERNEL_CHOICES = ("box", "triangle", "cubic")
@@ -188,8 +188,6 @@ def _open_out(path):
 
 
 def cmd_build(args):
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     grid = KnotGrid.uniform(args.n)
     samples = _resolve_samples(args, grid)
     net = build_network(args.method, samples, args.slope)
@@ -278,8 +276,6 @@ def cmd_convergence(args):
 
 
 def cmd_fit_kernel(args):
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     grid = KnotGrid.uniform(args.n)
     if args.kernel == "box":
         kernel = KernelKind.box()

@@ -67,6 +67,16 @@ class Network:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         object.__setattr__(self, "group", _frozen(self.group, np.int64))
         object.__setattr__(self, "acts", tuple(self.acts))
+        if not isinstance(self.method, str):
+            raise UsageError("network method must be a string")
+        # save_model writes n with json.dumps and load_model reads it
+        # back only as a positive int, so a numpy integer is stored as int
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 1):
+            raise UsageError("network n must be a positive integer")
+        object.__setattr__(self, "n", int(self.n))
+        if not all(isinstance(act, Activation) for act in self.acts):
+            raise UsageError("network activations must be Activation objects")
         m = self.weight.size
         if self.weight.ndim != 1 or m == 0:
             raise UsageError("network needs at least one hidden neuron")

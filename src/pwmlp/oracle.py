@@ -1,18 +1,18 @@
 """Piecewise-polynomial reference models built from localized kernels.
 
-These are the ground truth the constructed networks are checked
-against: box kernels give the piecewise-constant model, triangle
-kernels the piecewise-linear interpolant, and cubic bump kernels the
-two smooth designs.  One locality window of kernel rows and weights
-serves every evaluation (the grid path, a single point, and each axis
-of the tensor-product sum, whose p = 1 case is the grid path bit for
-bit) and the least-squares kernel fit.  The every-knot bump weights
-solve the coupling system in its sine eigenbasis (O(N log N), refined
-to about eps * |g|), which shares no solver with the construction
-side's closed form; only the refinement of both, with its residual and
-its power-of-two scaling, is common.  A brute-force dense LU of the
-same system lives here too, as a cross-check at small sizes, and a
-moment audit of the polynomial degree each kernel's shifts reproduce.
+A model is a kernel sum sum_j c_j K(h^-1 (x - x_j)) with box, triangle
+or cubic bump kernels on every knot or every other knot: the ground
+truth the constructed networks are checked against.  One locality
+window of kernel rows and weights serves every evaluation (the grid
+path, a single point, and each axis of the tensor-product sum, whose
+p = 1 case is the grid path bit for bit) and the least-squares kernel
+fit.  The every-knot bump weights solve the coupling system in its sine
+eigenbasis (O(N log N), refined to about eps * |g|), which shares no
+solver with the construction side's closed form; only the refinement
+of both, with its residual and its power-of-two scaling, is common.  A
+brute-force dense LU of the same system lives here too, as a
+cross-check at small sizes, and a moment audit of the polynomial degree
+each kernel's shifts reproduce.
 """
 
 import itertools
@@ -152,9 +152,8 @@ def reproduction_degree(kernel, stride=1):
 class PiecewiseOracle:
     """Kernel-sum approximant sum_j c_j K(h^-1 (x - x_j)).
 
-    Coefficients are f(x_j) for the box and triangle models, the
-    coupling solution g(x_j) for the every-knot bump model, and f at the
-    even knots for the every-other-knot bump model.
+    One coefficient row per kernel centre: every knot, or every other
+    knot for the every-other-knot spacing.
     """
 
     grid: KnotGrid
@@ -361,7 +360,7 @@ def sine_solve_coupling(samples):
     """Solve the bump-coupling system in its sine eigenbasis, O(N log N)
     time and O(N) memory, refined with refine_coupling.
 
-    The reference solve of matching_oracle("cubic"): it shares no code
+    The reference solve of the every-knot bump model: it shares no code
     with the construction side's closed-form solve, and both refined
     solves reach the same g to within a few units in the last place of
     max|g|.
@@ -455,31 +454,3 @@ def fit_kernel_weights(dense_samples, kernel, grid):
     fitted = eval_oracle_grid(PiecewiseOracle(grid, kernel, omega), xs)[:, 0]
     rms = float(np.sqrt(np.mean((fitted - ys) ** 2)))
     return KernelFit(omega=omega, kernel=kernel, grid=grid, rms_residual=rms)
-
-
-def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
-    """The reference model a given construction method must reproduce.
-
-    The coupled-bump coefficients are computed with the sine-transform
-    solve (sine_solve_coupling), deliberately NOT with the
-    construction side's closed-form solve, so a network-vs-oracle
-    comparison exercises both solvers end to end.
-    """
-    grid = samples.grid
-    if method == "constant":
-        return PiecewiseOracle(grid, KernelKind.box(), samples.values)
-    if method in ("linear-relu", "linear-ramp"):
-        return PiecewiseOracle(grid, KernelKind.triangle(), samples.values)
-    if method == "cubic":
-        g = sine_solve_coupling(samples)
-        return PiecewiseOracle(grid, KernelKind.cubic_bump(slope), g)
-    if method == "cubic-spaced":
-        # PiecewiseOracle refuses an n the stride does not divide
-        stride = _STRIDE[EVERY_OTHER_KNOT]
-        return PiecewiseOracle(
-            grid,
-            KernelKind.cubic_bump(slope),
-            samples.values[::stride, :],
-            spacing=EVERY_OTHER_KNOT,
-        )
-    raise UsageError("unknown construction method %r" % (method,))

@@ -16,6 +16,7 @@ from pwmlp import (
     build_network,
     forward,
     forward_grid,
+    matching_oracle,
     solve_bump_coupling,
 )
 
@@ -239,6 +240,24 @@ def test_unknown_method_rejected():
     samples = TargetSamples(grid, np.ones(3))
     with pytest.raises(UsageError):
         build_network("quartic", samples)
+
+
+@pytest.mark.parametrize("method,fragment", [
+    ("quartic", "unknown construction method 'quartic'"),
+    (["constant"], "unknown construction method ['constant']"),
+    ("cubic-spaced", "even N"),
+])
+def test_network_and_oracle_refuse_alike(method, fragment):
+    # build_network and matching_oracle read one design row, through one
+    # lookup that refuses an unknown method and an N its stride does not
+    # divide
+    samples = TargetSamples(KnotGrid.uniform(5), np.ones(6))
+    messages = set()
+    for entry in (build_network, matching_oracle):
+        with pytest.raises(UsageError) as err:
+            entry(method, samples)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and fragment in messages.pop()
 
 
 def _overflowing_samples():

@@ -17,9 +17,12 @@ from format1 import format1_text, network_bytes
 
 from pwmlp import (
     DEFAULT_SLOPE,
+    METHODS,
+    KernelKind,
     KnotGrid,
     TargetSamples,
     build_network,
+    fit_kernel_weights,
     forward_grid,
     load_model,
 )
@@ -37,9 +40,10 @@ def run(capsys, *argv):
 def test_info_lists_methods_and_targets(capsys):
     code, out, err = run(capsys, "info")
     assert code == 0
-    for token in ("constant", "linear-relu", "linear-ramp", "cubic",
-                  "cubic-spaced", "sin2pi", "runge"):
-        assert token in out
+    # each method and target heads a line of its own
+    listed = {line.split()[0] for line in out.splitlines()
+              if line.startswith("  ")}
+    assert set(METHODS) | {"sin2pi", "runge"} <= listed
     assert "pwmlp" in err
 
 
@@ -274,6 +278,24 @@ def test_refused_knot_count_exits_2(tmp_path, capsys, n):
         assert "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "fit-kernel"])
+def test_zero_knot_count_exits_2(tmp_path, capsys, command):
+    csv_path = tmp_path / "dense.csv"
+    csv_path.write_text("x,y\n0,0\n1,1\n")
+    out_path = tmp_path / "out.json"
+    argv = {
+        "build": ["build", "--method", "constant", "--target", "sin2pi",
+                  "--out", str(out_path)],
+        "verify": ["verify", "--method", "constant", "--target", "sin2pi"],
+        "fit-kernel": ["fit-kernel", "box", "--csv", str(csv_path),
+                       "--out", str(out_path)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--n", "0")
+    assert code == 2 and out == ""
+    assert "n >= 1" in err and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_verify_usage_errors(capsys):
@@ -645,6 +667,50 @@ def test_fit_kernel_recovers_and_reports(tmp_path, capsys):
     assert doc["kernel"] == "triangle" and doc["n"] == n
     assert np.max(np.abs(np.asarray(doc["omega"]) - coeffs)) <= 1e-8
     assert doc["rms_residual"] <= 1e-10
+
+
+def test_fit_kernel_cubic_writes_the_bump_fit(tmp_path, capsys):
+    n = 16
+    xs = np.linspace(0.0, 1.0, 257)
+    data = np.column_stack([xs, np.sin(2.0 * np.pi * xs)])
+    csv_path = tmp_path / "dense.csv"
+    csv_path.write_text("x,y\n" + "".join("%r,%r\n" % (float(x), float(y))
+                                          for x, y in data))
+    omegas = []
+    for slope in (0.75, 0.5):
+        out = tmp_path / ("fit-%r.json" % slope)
+        code, text, _ = run(capsys, "fit-kernel", "cubic", "--n", str(n),
+                            "--slope", repr(slope), "--csv", str(csv_path),
+                            "--out", str(out))
+        assert code == 0 and "rms residual" in text
+        doc = json.loads(out.read_text())
+        fit = fit_kernel_weights(data, KernelKind.cubic_bump(slope),
+                                 KnotGrid.uniform(n))
+        omega = np.asarray(doc["omega"])
+        assert doc["kernel"] == "cubic" and doc["n"] == n
+        assert omega.tobytes() == fit.omega.tobytes()
+        assert doc["rms_residual"] == fit.rms_residual
+        omegas.append(omega)
+    assert not np.array_equal(*omegas)
+
+
+def test_bad_header_exits_3(tmp_path, capsys):
+    csv_path = tmp_path / "bad.csv"
+    out_path = tmp_path / "out.json"
+    for text in ("t,f1\n0.0,1.0\n0.5,2.0\n1.0,3.0\n", "x\n0.0\n0.5\n1.0\n"):
+        csv_path.write_text(text)
+        code, out, err = run(capsys, "build", "--method", "constant",
+                             "--n", "2", "--csv", str(csv_path),
+                             "--out", str(out_path))
+        assert code == 3 and out == "" and "expected header x,f1" in err
+    for header in ("t,y", "x,y,z"):
+        cells = header.count(",") + 1
+        csv_path.write_text(header + "\n" + "".join(
+            ",".join(["%r" % (j / 8.0)] * cells) + "\n" for j in range(9)))
+        code, out, err = run(capsys, "fit-kernel", "box", "--n", "2",
+                             "--csv", str(csv_path), "--out", str(out_path))
+        assert code == 3 and out == "" and "expected header x,y" in err
+    assert not out_path.exists()
 
 
 def test_fit_kernel_underdetermined(tmp_path, capsys):

@@ -160,8 +160,8 @@ def test_network_validation():
     relu = (Activation.relu(),)
 
     def make(weight=(1.0,), bias=(0.0,), acts=relu, group=(0,),
-             taps=((1.0,),), tap_bias=(0.0,)):
-        return Network(weight, bias, acts, group, taps, tap_bias, "constant", 1)
+             taps=((1.0,),), tap_bias=(0.0,), method="constant", n=1):
+        return Network(weight, bias, acts, group, taps, tap_bias, method, n)
 
     assert make().width == 1 and make().out_dim == 1
     for bad in (
@@ -179,9 +179,21 @@ def test_network_validation():
         dict(group=(1,)),
         dict(group=(-1,)),
         dict(acts=()),
+        dict(acts=("relu",)),
+        dict(method=None),
+        dict(method=3),
+        dict(n=0),
+        dict(n=-3),
+        dict(n=True),
+        dict(n=2.5),
     ):
         with pytest.raises(UsageError):
             make(**bad)
+    # an integral numpy n is stored as an int, which save_model can write
+    net = make(n=np.int64(5))
+    assert type(net.n) is int and net.n == 5
+    text = save_model(net)
+    assert load_model(text).n == 5 and save_model(load_model(text)) == text
 
 
 def test_network_arrays_are_read_only_copies():
@@ -425,6 +437,18 @@ def test_compiled_steps_switch_where_forward_grid_does(n):
                           forward_grid(net, grid.knots))
 
 
+def test_compiled_form_of_flat_units_has_no_break():
+    # units with w = 0 are constants: one piece, anchored at 0.0
+    net = _network([(0.0, 0.4, Activation.ramp()),
+                    (0.0, 1.5, Activation.relu()),
+                    (0.0, 0.25, Activation.cubic(0.6))],
+                   [((1.0, -2.0, 3.0), 0.5), ((0.5, 0.25, -1.0), 0.0)])
+    compiled = compile_network(net)
+    assert compiled.breaks.tolist() == [] and compiled.anchors.tolist() == [0.0]
+    xs = np.linspace(-2.0, 2.0, 101)
+    assert compiled.eval(xs).tobytes() == forward_grid(net, xs).tobytes()
+
+
 def test_compiled_form_is_read_only():
     compiled = compile_network(_random_network(np.random.default_rng(47)))
     for arr in (compiled.breaks, compiled.anchors, compiled.coeffs):
@@ -602,6 +626,15 @@ def test_load_rejects_malformed_documents():
     doc = _doc()
     doc["outputs"][0]["weights"][3] = None
     _expect_format_error(doc, "outputs[0].weights[3]")
+
+    doc = _doc()
+    doc["neurons"][1] = [1.0, 0.0]
+    _expect_format_error(doc, "neurons[1]: neuron must be an object")
+
+    doc = _doc()
+    doc["outputs"].append(doc["outputs"][0])
+    doc["outputs"][1] = None
+    _expect_format_error(doc, "outputs[1]: output must be an object")
 
 
 def test_load_rejects_malformed_format2_documents():
