@@ -44,7 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import CUBIC, DEFAULT_SLOPE, RAMP, RELU, STEP, Activation
+from .activations import (
+    CUBIC,
+    DEFAULT_SLOPE,
+    RAMP,
+    RELU,
+    STEP,
+    Activation,
+    solve_cubic_coefficients,
+)
 from .errors import NumericalError, UsageError
 from .network import Network
 from .oracle import (
@@ -131,12 +139,14 @@ _DESIGNS = {
 METHODS = tuple(_DESIGNS)
 
 
-def _design(method, grid):
+def _design(method, grid, slope):
     """The design row of method and its knot stride; UsageError for an
-    unknown method or an N the stride does not divide."""
+    unknown method or an N the stride does not divide, and DomainError
+    for a cubic slope outside [0, 0.75], whatever the method."""
     design = _DESIGNS.get(method) if isinstance(method, str) else None
     if design is None:
         raise UsageError("unknown construction method %r" % (method,))
+    solve_cubic_coefficients(slope)
     stride = _STRIDE[design.spacing]
     if grid.n % stride:
         raise UsageError("%s design requires even N" % method)
@@ -146,12 +156,13 @@ def _design(method, grid):
 def build_network(method, samples, slope=DEFAULT_SLOPE):
     """Build the network of a construction method (see the module
     docstring) for the knot samples.  slope is the cubic's inflection
-    slope; the other methods ignore it.
+    slope, in [0, 0.75]; only the cubic methods use it, but every
+    method refuses a slope outside that range with DomainError.
 
     Raises NumericalError, naming the output column, when a tap or a
     tap bias overflows.
     """
-    design, stride = _design(method, samples.grid)
+    design, stride = _design(method, samples.grid, slope)
     act = Activation.cubic(slope) if design.kind == CUBIC else Activation(design.kind)
     with np.errstate(over="ignore", invalid="ignore"):
         c = solve_bump_coupling(samples).g if design.coupled else samples.values[::stride]
@@ -188,7 +199,7 @@ def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
     construction side's closed-form solve, so a network-vs-oracle
     comparison exercises both solvers end to end.
     """
-    design, stride = _design(method, samples.grid)
+    design, stride = _design(method, samples.grid, slope)
     kernel = (KernelKind.cubic_bump(slope) if design.kernel == CUBIC_BUMP
               else KernelKind(design.kernel))
     c = sine_solve_coupling(samples) if design.coupled else samples.values[::stride]

@@ -47,9 +47,13 @@ class KnotGrid:
 
     @staticmethod
     def uniform(n):
+        """The grid of n equal subintervals; n must be an int or numpy
+        integer (not a bool) of at least 1, never truncated."""
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
+            raise UsageError("knot grid needs an integer n >= 1, got %r"
+                             % (n,))
         n = int(n)
-        if n < 1:
-            raise UsageError("knot grid needs n >= 1")
         return KnotGrid(n, 1.0 / n, _uniform_knots(n))
 
 

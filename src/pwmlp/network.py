@@ -9,14 +9,17 @@ compensated (Neumaier) accumulator: the ReLU constructions produce
 large cancelling responses, and plain summation would visibly erode
 the agreement with the piecewise-polynomial reference models.
 
-Models serialize to JSON as those arrays, one per field (format 2),
-with shortest-round-trip number formatting, so a save/load cycle
-reproduces the arrays and the evaluation results bit for bit.  The
-loader also reads format 1, which stored one object per neuron and per
-output, into the same arrays: it gathers each field into a column and
-checks it as format 2 checks its arrays.
+Models serialize to JSON as those arrays, one per field (format 3),
+each array a string holding the base64 of its little-endian bytes, so a
+save/load cycle reproduces the arrays and the evaluation results bit
+for bit without writing or parsing a decimal float.  The loader also
+reads format 2, which wrote the same fields as JSON number lists, and
+format 1, which stored one object per neuron and per output, into the
+same arrays: it gathers each field into a column and checks it as
+formats 2 and 3 check their arrays.
 """
 
+import binascii
 import json
 import math
 from dataclasses import dataclass
@@ -507,55 +510,45 @@ def compile_network(net):
     return PiecewiseNetwork(breaks, anchors, coeffs)
 
 
-def _json_floats(values):
-    """JSON text of a 1-D float array, as json.dumps(values.tolist(),
-    allow_nan=False) writes it, formatting each distinct magnitude once.
-
-    Words are grouped by the int64 bit pattern with the sign bit
-    cleared, so -0.0 stays apart from 0.0, and a negative value is
-    written "-" + repr(|v|), which is repr(v) for every finite double.
-    The constructions repeat their weights and taps (+-c_j, two or four
-    times each), so this formats a fraction of the values.  Raises
-    ValueError on a value that is not finite, as json.dumps does.
-    """
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    bits = a.view(np.int64)
-    mag, inv = np.unique(bits & np.int64(0x7FFF_FFFF_FFFF_FFFF),
-                         return_inverse=True)
-    words = [repr(v) for v in mag.view(np.float64).tolist()]
-    table = np.array(words + ["-" + w for w in words], dtype=object)
-    return "[%s]" % ", ".join(table[inv + len(words) * (bits < 0)].tolist())
+def _packed(values, dtype="<f8"):
+    """A JSON string: the standard base64 of the array's little-endian
+    bytes.  The base64 alphabet needs no JSON escape."""
+    data = np.ascontiguousarray(values, dtype=dtype).tobytes()
+    return '"%s"' % binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
 def save_model(net):
-    """Serialize a network to JSON text in format 2.
+    """Serialize a network to JSON text in format 3.
 
     The document holds the network's own arrays, one per field:
-    ``{"format": 2, "method", "n", "acts", "group", "weight", "bias",
-    "taps", "tap_bias"}``, with ``taps`` as one list per output column.
-    ``acts`` lists the distinct activations; only the cubic's free
-    coefficient a1 is stored, and the dependent coefficients are
-    recomputed on load, which cannot drift because the reconstruction
-    is deterministic.  Each key goes on its own line with its value
-    written without indent, every float by ``repr`` (the float arrays
-    through _json_floats, the rest by json.dumps), so
-    ``save_model(load_model(text)) == text``.
+    ``{"format": 3, "method", "n", "acts", "group", "weight", "bias",
+    "taps", "tap_bias"}``, with ``taps`` as one array per output column.
+    Each array is a string, the standard base64 (padded, no newlines)
+    of its little-endian bytes: float64 for the floats, int64 for
+    ``group``.  ``acts`` lists the distinct activations; only the
+    cubic's free coefficient a1 is stored, by ``repr``, and the
+    dependent coefficients are recomputed on load, which cannot drift
+    because the reconstruction is deterministic.  Each key goes on its
+    own line with its value written without indent, so
+    ``save_model(load_model(text)) == text``.  Raises ValueError when a
+    float array holds a value that is not finite.
     """
+    for name in ("weight", "bias", "taps", "tap_bias"):
+        if not np.isfinite(getattr(net, name)).all():
+            raise ValueError("network %s is not finite" % name)
     acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
             if act.kind == CUBIC else {"kind": act.kind}
             for act in net.acts]
     fields = (
-        ("format", json.dumps(2)),
+        ("format", json.dumps(3)),
         ("method", json.dumps(net.method)),
         ("n", json.dumps(net.n)),
         ("acts", json.dumps(acts, allow_nan=False)),
-        ("group", json.dumps(net.group.tolist())),
-        ("weight", _json_floats(net.weight)),
-        ("bias", _json_floats(net.bias)),
-        ("taps", "[%s]" % ", ".join(map(_json_floats, net.taps.T))),
-        ("tap_bias", _json_floats(net.tap_bias)),
+        ("group", _packed(net.group, "<i8")),
+        ("weight", _packed(net.weight)),
+        ("bias", _packed(net.bias)),
+        ("taps", "[%s]" % ", ".join(map(_packed, net.taps.T))),
+        ("tap_bias", _packed(net.tap_bias)),
     )
     return "{\n%s\n}\n" % ",\n".join(
         "  %s: %s" % (json.dumps(key), value) for key, value in fields)
@@ -669,45 +662,98 @@ def _format1_columns(doc, n):
     return weight, bias, [act for act, _ in index], group, taps, tap_bias
 
 
-def _format2_columns(doc):
-    """Columns of a format-2 document, checked array by array."""
+def _unpacked(text, path, dtype="<f8"):
+    """An array stored as in format 3: the standard base64 of its
+    little-endian bytes, exactly as save_model writes them.
+
+    The text is decoded and encoded again, which refuses any character
+    outside the alphabet, bad padding and non-canonical text alike.
+    The bytes must make whole 8-byte values, and a float must be
+    finite; the elements are walked only to name a bad one.
+    """
+    _require(isinstance(text, str), path, "expected a base64 string")
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raw = None
+    _require(raw is not None
+             and binascii.b2a_base64(raw, newline=False) == text.encode(),
+             path, "expected standard padded base64 text")
+    _require(len(raw) % 8 == 0, path,
+             "expected whole 8-byte values, got %d bytes" % len(raw))
+    arr = np.frombuffer(raw, dtype=dtype)
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise FormatError("number must be finite",
+                              path="%s[%d]" % (path, bad.argmax()))
+    return arr
+
+
+def _index_list(values, path, m, size):
+    """Format 2's group: a JSON list of m indices into size activations."""
+    _require(isinstance(values, list), path, "expected a list of indices")
+    _require_length(values, m, "neuron", path)
+    if not (set(map(type, values)) <= {int}
+            and 0 <= min(values) and max(values) < size):
+        for i, g in enumerate(values):
+            _require(type(g) is int and 0 <= g < size, "%s[%d]" % (path, i),
+                     "expected an index into acts, got %r" % (g,))
+    return values
+
+
+def _unpacked_indices(text, path, m, size):
+    """Format 3's group: m int64 indices into size activations."""
+    group = _unpacked(text, path, "<i8")
+    _require_length(group, m, "neuron", path)
+    bad = (group < 0) | (group >= size)
+    if bad.any():
+        i = int(bad.argmax())
+        raise FormatError("expected an index into acts, got %d" % group[i],
+                          path="%s[%d]" % (path, i))
+    return group
+
+
+def _format2_columns(doc, numbers, indices):
+    """Columns of a format-2 or format-3 document, checked array by
+    array.  numbers(value, path) reads a float array and indices(value,
+    path, m, size) the activation indices: _numbers and _index_list read
+    format 2's JSON lists, _unpacked and _unpacked_indices format 3's
+    base64 strings."""
     raw_acts = doc.get("acts")
     _require(isinstance(raw_acts, list) and len(raw_acts) >= 1, "acts",
              "model needs a nonempty activation list")
     acts = [_activation(act, "acts[%d]" % i) for i, act in enumerate(raw_acts)]
 
-    weight = _numbers(doc.get("weight"), "weight")
+    weight = numbers(doc.get("weight"), "weight")
     m = weight.size
     _require(m >= 1, "weight", "model needs at least one neuron")
-    bias = _numbers(doc.get("bias"), "bias")
+    bias = numbers(doc.get("bias"), "bias")
     _require_length(bias, m, "neuron", "bias")
 
-    group = doc.get("group")
-    _require(isinstance(group, list), "group", "expected a list of indices")
-    _require_length(group, m, "neuron", "group")
-    if not (set(map(type, group)) <= {int}
-            and 0 <= min(group) and max(group) < len(acts)):
-        for i, g in enumerate(group):
-            _require(type(g) is int and 0 <= g < len(acts), "group[%d]" % i,
-                     "expected an index into acts, got %r" % (g,))
+    group = indices(doc.get("group"), "group", m, len(acts))
 
     raw_taps = doc.get("taps")
     _require(isinstance(raw_taps, list) and len(raw_taps) >= 1, "taps",
              "model needs a nonempty list of output columns")
     taps = []
     for k, column in enumerate(raw_taps):
-        taps.append(_numbers(column, "taps[%d]" % k))
+        taps.append(numbers(column, "taps[%d]" % k))
         _require_length(taps[-1], m, "neuron", "taps[%d]" % k)
-    tap_bias = _numbers(doc.get("tap_bias"), "tap_bias")
+    tap_bias = numbers(doc.get("tap_bias"), "tap_bias")
     _require_length(tap_bias, len(taps), "output column", "tap_bias")
     return weight, bias, acts, group, taps, tap_bias
+
+
+_DECODERS = {2: (_numbers, _index_list), 3: (_unpacked, _unpacked_indices)}
 
 
 def load_model(text):
     """Parse model JSON text back into a Network.
 
-    Reads format 2, written by save_model, and format 1 (no "format"
-    key), which stored one object per neuron and per output.  Both give
+    Reads format 3, written by save_model; format 2, the same fields
+    with each array a JSON list of numbers; and format 1 (no "format"
+    key), which stored one object per neuron and per output.  All give
     the same arrays, bit for bit, and a malformed field raises
     FormatError naming its path.
     """
@@ -727,9 +773,9 @@ def load_model(text):
         columns = _format1_columns(doc, n)
     else:
         fmt = doc["format"]
-        _require(type(fmt) is int and fmt == 2, "format",
+        _require(type(fmt) is int and fmt in _DECODERS, "format",
                  "unknown model format %r" % (fmt,))
-        columns = _format2_columns(doc)
+        columns = _format2_columns(doc, *_DECODERS[fmt])
     weight, bias, acts, group, taps, tap_bias = columns
     return Network(weight, bias, tuple(acts), group, np.array(taps).T,
                    tap_bias, doc["method"], n)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from pwmlp import (
+    METHODS,
     Activation,
+    DomainError,
     KnotGrid,
     NumericalError,
     TargetSamples,
@@ -49,6 +51,16 @@ def test_grid_validation():
         with pytest.raises(UsageError,
                            match="knot grid of n = %d cannot be made" % n):
             KnotGrid.uniform(n)
+
+
+def test_uniform_grid_takes_only_a_positive_integer():
+    # a count is never truncated: 2.5 is not 2, True is not 1, "4" is not 4
+    for n in (2.5, 4.0, np.float64(4.0), True, False, "4", None, -3,
+              np.int64(0)):
+        with pytest.raises(UsageError, match="integer n >= 1"):
+            KnotGrid.uniform(n)
+    grid = KnotGrid.uniform(np.int64(4))
+    assert type(grid.n) is int and grid.n == 4 and grid.h == 0.25
 
 
 def test_target_samples_shapes():
@@ -258,6 +270,23 @@ def test_network_and_oracle_refuse_alike(method, fragment):
             entry(method, samples)
         messages.add(str(err.value))
     assert len(messages) == 1 and fragment in messages.pop()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_network_and_oracle_refuse_a_bad_slope_alike(method):
+    # the slope is checked in the same lookup, also for the methods that
+    # do not use it
+    samples = TargetSamples(KnotGrid.uniform(4), np.ones(5))
+    for slope in (-7.0, -1e-300, 0.75000001, np.nan, np.inf):
+        messages = set()
+        for entry in (build_network, matching_oracle):
+            with pytest.raises(DomainError) as err:
+                entry(method, samples, slope)
+            messages.add(str(err.value))
+        assert len(messages) == 1 and "outside [0, 0.75]" in messages.pop()
+    for slope in (0.0, -0.0, 0.3, 0.75):
+        build_network(method, samples, slope)
+        matching_oracle(method, samples, slope)
 
 
 def _overflowing_samples():

@@ -5,15 +5,19 @@ and the files written, so the process-level contract is covered without
 spawning subprocesses.
 """
 
+import base64
 import csv
 import io
 import json
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from format1 import format1_text, network_bytes
+from format2 import format2_text
 
 from pwmlp import (
     DEFAULT_SLOPE,
@@ -25,10 +29,12 @@ from pwmlp import (
     fit_kernel_weights,
     forward_grid,
     load_model,
+    save_model,
 )
 from pwmlp import cli
 from pwmlp.cli import build_parser, main
 from pwmlp.targets import get_target
+from test_network import FORMAT3_FAULTS, tampered
 
 
 def run(capsys, *argv):
@@ -55,18 +61,36 @@ def test_build_writes_model(tmp_path, capsys):
     assert code == 0
     assert "built linear-ramp n=8" in text
     doc = json.loads(out.read_text())
-    assert doc["format"] == 2
+    assert doc["format"] == 3
     assert doc["method"] == "linear-ramp"
     assert doc["n"] == 8
+    # 8 bytes per unit
+    assert len(base64.b64decode(doc["weight"])) == 8 * 18
+    assert len(base64.b64decode(doc["group"])) == 8 * 18
+    assert [len(base64.b64decode(c)) for c in doc["taps"]] == [8 * 18]
+    # the same network in format 2: one JSON number per unit
+    net = load_model(out.read_text())
+    doc = json.loads(format2_text(net))
     assert len(doc["weight"]) == len(doc["group"]) == 18
     assert [len(column) for column in doc["taps"]] == [18]
-    # the same network in format 1: one object per neuron
-    net = load_model(out.read_text())
+    assert network_bytes(load_model(json.dumps(doc))) == network_bytes(net)
+    # and in format 1: one object per neuron
     doc = json.loads(format1_text(net))
     assert doc["method"] == "linear-ramp"
     assert doc["n"] == 8
     assert len(doc["neurons"]) == 18
     assert network_bytes(load_model(json.dumps(doc))) == network_bytes(net)
+
+
+def test_readme_model_example_is_what_build_writes(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    example = re.search(r"\n## Model JSON\n.*?\n```json\n(.*?)```\n", readme,
+                        re.S).group(1)
+    assert save_model(load_model(example)) == example
+    out = tmp_path / "m.json"
+    code, _, _ = run(capsys, "build", "--method", "linear-ramp", "--n", "2",
+                     "--target", "sin2pi", "--out", str(out))
+    assert code == 0 and out.read_text() == example
 
 
 def test_build_requires_exactly_one_target_source(tmp_path, capsys):
@@ -171,16 +195,28 @@ def test_eval_rejects_tampered_model(tmp_path, capsys):
 
 def test_eval_rejects_tampered_format2_model(tmp_path, capsys):
     model_path = _built_model(tmp_path, capsys)
-    doc = json.loads(model_path.read_text())
+    doc = json.loads(format2_text(load_model(model_path.read_text())))
     doc["taps"][0].append(1.0)
     assert "taps[0]" in _eval_error(capsys, model_path, doc)
+
+
+@pytest.mark.parametrize("fault", FORMAT3_FAULTS)
+def test_eval_rejects_bad_format3_model(tmp_path, capsys, fault):
+    model_path = _built_model(tmp_path, capsys)
+    text = model_path.read_text()
+    for field, edit, pattern in FORMAT3_FAULTS[fault]:
+        err = _eval_error(capsys, model_path,
+                          tampered(json.loads(text), field, edit))
+        message = err.splitlines()[-1]
+        assert message.startswith("error: ")
+        assert re.search(pattern, message[len("error: "):]), err
 
 
 def test_eval_huge_integer_in_model_exits_3(tmp_path, capsys):
     # float(10 ** 400) raises OverflowError, not a package error
     model_path = _built_model(tmp_path, capsys)
     text = model_path.read_text()
-    doc = json.loads(text)
+    doc = json.loads(format2_text(load_model(text)))
     doc["bias"][2] = 10 ** 400
     assert "bias[2]" in _eval_error(capsys, model_path, doc)
     doc = json.loads(format1_text(load_model(text)))
@@ -199,7 +235,8 @@ def test_eval_overflowing_model_exits_4_without_output(tmp_path, capsys):
     v2 = {"format": 2, "method": "linear-relu", "n": 1,
           "acts": [{"kind": "relu"}], "group": [0], "weight": [1e300],
           "bias": [0.0], "taps": [[1e300]], "tap_bias": [0.0]}
-    for doc in (v1, v2):
+    v3 = json.loads(save_model(load_model(json.dumps(v2))))
+    for doc in (v1, v2, v3):
         model_path.write_text(json.dumps(doc))
         out_path = tmp_path / "vals.csv"
         code, out, err = run(capsys, "eval", str(model_path), "--grid",
@@ -309,6 +346,27 @@ def test_verify_usage_errors(capsys):
         code, out, err = run(capsys, "verify", "--method", "linear-ramp",
                              "--n", "8", "--target", "sin2pi", "--tol=" + tol)
         assert code == 2 and out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_slope_out_of_range_exits_2_for_every_method(tmp_path, capsys,
+                                                     method):
+    out_path = tmp_path / "m.json"
+    for slope in ("-7", "0.9", "nan"):
+        code, out, err = run(capsys, "build", "--method", method, "--n", "4",
+                             "--target", "sin2pi", "--slope", slope,
+                             "--out", str(out_path))
+        assert code == 2 and "outside [0, 0.75]" in err
+        assert out == "" and not out_path.exists()
+        code, out, err = run(capsys, "verify", "--method", method, "--n", "4",
+                             "--target", "sin2pi", "--slope", slope)
+        assert code == 2 and out == "" and "outside [0, 0.75]" in err
+        prefix = tmp_path / "conv"
+        code, out, err = run(capsys, "convergence", "--method", method,
+                             "--target", "sin2pi", "--n-list", "4,8,16",
+                             "--slope", slope, "--out", str(prefix))
+        assert code == 2 and out == "" and "outside [0, 0.75]" in err
+        assert list(tmp_path.glob("conv*")) == []
 
 
 def _write_samples(path, values):

@@ -1,9 +1,9 @@
-"""Golden bytes: model JSON (format 2, and format 1 as the fixture writer
-in format1.py writes it), forward_grid output, the compiled form and
-its evaluation on the same grid of 45 built networks and one hybrid
-model, and eval_oracle_grid output of the matching oracles, pinned by
-one sha256 per method and part, the hybrid model counting as one more
-method.
+"""Golden bytes: model JSON (format 3, and formats 1 and 2 as the fixture
+writers in format1.py and format2.py write them), forward_grid output,
+the compiled form and its evaluation on the same grid of 45 built
+networks and one hybrid model, and eval_oracle_grid output of the
+matching oracles, pinned by one sha256 per method and part, the hybrid
+model counting as one more method.
 
 A change to how networks are stored or built must leave every pin
 alone.  A change that moves bytes on purpose re-pins only the parts it
@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 from format1 import format1_text, network_bytes
+from format2 import format2_text
 
 from pwmlp import (
     METHODS,
@@ -33,14 +34,16 @@ from pwmlp import (
     save_model,
 )
 
-PARTS = ("model", "model-v1", "forward", "compiled", "compiled-eval",
-         "errors", "oracle")
+PARTS = ("model", "model-v1", "model-v2", "forward", "compiled",
+         "compiled-eval", "errors", "oracle")
 
 GOLDEN_SHA256 = {
     "constant/model":
-        "29b1fe7fc93dd22d2b286af4b401a854c72fa04637719a9bfab90d792fc9300b",
+        "c55deb594179d3cea1e8785142a8fd1d63460412fe2454ec822a324afe6f23ac",
     "constant/model-v1":
         "4e38cb05c3c79a11ee54315a602a58adaee4fced81bc507fc7a6596cdaab09ee",
+    "constant/model-v2":
+        "29b1fe7fc93dd22d2b286af4b401a854c72fa04637719a9bfab90d792fc9300b",
     "constant/forward":
         "98e8986ec0733168b6a5874710ad47edb4f4fdb73ec9ac76600819abd5f85ad0",
     "constant/compiled":
@@ -52,9 +55,11 @@ GOLDEN_SHA256 = {
     "constant/oracle":
         "86e0ef45bf2ad26682261025737ccd6562fb5f0fd60ce05e79e4e27c77133523",
     "linear-relu/model":
-        "605957c05b7e144a9d9dc254a098b273ae3662926eab69bcbffbf2cf504d3977",
+        "7d9e6f4fe5d48b1ce079efbc7bbe636942c2f0956283f8488bdb85841937f2c0",
     "linear-relu/model-v1":
         "f34fde0ddf7c44a786f58b4ef4a632ec55e469083aa69c11437585977f00ecbc",
+    "linear-relu/model-v2":
+        "605957c05b7e144a9d9dc254a098b273ae3662926eab69bcbffbf2cf504d3977",
     "linear-relu/forward":
         "4f6ff729fa82a918de783b11d47817f423ebecc2bd5ca60d890d9681e8741f19",
     "linear-relu/compiled":
@@ -66,9 +71,11 @@ GOLDEN_SHA256 = {
     "linear-relu/oracle":
         "6402e924bb38c71862a8595ffb07e348d054e48ddaecd358fd820e6fdc91e964",
     "linear-ramp/model":
-        "c5e88e83058b347eea15fdf01c972a33d700b78651e82bf215a7f94d0d717696",
+        "23aad39954feef5e34a0a8acab668e0773a17d589df3f18865ebd556a50b8c94",
     "linear-ramp/model-v1":
         "577020f3e168120d8b9b30d0539398f6d9ebf7dd860a273da9815ca5d43be51e",
+    "linear-ramp/model-v2":
+        "c5e88e83058b347eea15fdf01c972a33d700b78651e82bf215a7f94d0d717696",
     "linear-ramp/forward":
         "f11fa86fbcb0f6a91d61e5b66d4b946885fab692010c5c80ff3f41bda35ddd99",
     "linear-ramp/compiled":
@@ -80,9 +87,11 @@ GOLDEN_SHA256 = {
     "linear-ramp/oracle":
         "63679865f48ef38f74f34e4c1a6421e5b7527e053d45c3cc0e47273e7453e10c",
     "cubic/model":
-        "0aa9c1aa42d26d5317967b69b48dec54ae7a6fdf8824472a14167e7659a11e46",
+        "861d43d6b300eecd61544d9ef02f8f75ddb2477e421dd708afba6fbf2addf0e8",
     "cubic/model-v1":
         "24ce3a55422be3ac8f8df82138f0c3deaecd7827bafe36762080cad131237af9",
+    "cubic/model-v2":
+        "0aa9c1aa42d26d5317967b69b48dec54ae7a6fdf8824472a14167e7659a11e46",
     "cubic/forward":
         "ed6fcd328e2d1e9be91430e310a718dde54d962cab744fca2f17d442a77be619",
     "cubic/compiled":
@@ -94,9 +103,11 @@ GOLDEN_SHA256 = {
     "cubic/oracle":
         "6b925f07a7ce1d37f6d45a56c8efe711993859433c5e350e444ea2051fc70f14",
     "cubic-spaced/model":
-        "b7989f44073620f8fd18a79976ac01d269012a8d873524e8256ad0519ce49077",
+        "a5dc601a0700772027e183160a04d05b97dfbc12a80d73a215a57e8073008000",
     "cubic-spaced/model-v1":
         "cbec746bb3a40695aa9b3b45840ae22fed86c88ee40731d260624531f94e4e8a",
+    "cubic-spaced/model-v2":
+        "b7989f44073620f8fd18a79976ac01d269012a8d873524e8256ad0519ce49077",
     "cubic-spaced/forward":
         "2a4bf7247e13639ca5ac23ed4f627223a99b1bad5386544c1ec6bc9e8fc5f629",
     "cubic-spaced/compiled":
@@ -108,9 +119,11 @@ GOLDEN_SHA256 = {
     "cubic-spaced/oracle":
         "631bc4b862022a8cb900954409fda05a17c2d16c4361a277c3722826cd04bacd",
     "hybrid/model":
-        "2158b62862f1d423f15e88448eeb6b54fa9e5b494ca9ed8eb82d1dfba89cf7fd",
+        "de9e74840f16031336cc76efd3a8d28ab1801aee041a9db7426d51dfde7f1ac6",
     "hybrid/model-v1":
         "1d7542cb54b0b197f1d3603f05157eff91b7c5495363ea1374be96124531168e",
+    "hybrid/model-v2":
+        "2158b62862f1d423f15e88448eeb6b54fa9e5b494ca9ed8eb82d1dfba89cf7fd",
     "hybrid/forward":
         "84e3683df6ca02c20a8dbac648d4337baee94f07410fef5261401369b3ba6588",
     "hybrid/compiled":
@@ -188,6 +201,7 @@ def _oracle_bytes(method, samples, xs, slope):
 def _network_parts(net, xs):
     return {"model": save_model(net).encode(),
             "model-v1": format1_text(net).encode(),
+            "model-v2": format2_text(net).encode(),
             "forward": _forward_bytes(net, xs),
             "compiled": _compiled_bytes(net),
             "compiled-eval": _compiled_eval_bytes(net, xs)}
@@ -246,9 +260,12 @@ def test_hybrid_model_round_trips_text():
     net = load_model(v1)
     assert format1_text(net) == v1
     text = save_model(net)
-    assert text.startswith('{\n  "format": 2,\n')
+    assert text.startswith('{\n  "format": 3,\n')
     assert save_model(load_model(text)) == text
     assert network_bytes(load_model(text)) == network_bytes(net)
+    v2 = format2_text(net)
+    assert format2_text(load_model(v2)) == v2
+    assert network_bytes(load_model(v2)) == network_bytes(net)
 
 
 if __name__ == "__main__":

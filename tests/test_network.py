@@ -1,5 +1,6 @@
 """Unit tests for network evaluation and JSON serialization."""
 
+import base64
 import json
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from format1 import format1_text, network_bytes
+from format2 import _json_floats, format2_text
 
 from pwmlp import (
     METHODS,
@@ -29,7 +31,7 @@ from pwmlp import (
     save_model,
     verify_equivalence,
 )
-from pwmlp.network import _SIDE, _TILE, _json_floats
+from pwmlp.network import _SIDE, _TILE
 
 
 def _network(units, outputs):
@@ -495,12 +497,18 @@ def test_save_writes_one_key_per_line():
     assert [next(iter(k)) for k in keys] == [
         "format", "method", "n", "acts", "group", "weight", "bias", "taps",
         "tap_bias"]
-    assert keys[0] == {"format": 2}
+    assert keys[0] == {"format": 3}
+    # every array is one base64 string, the taps one per output column
+    for key in keys[4:]:
+        value = next(iter(key.values()))
+        for text in (value if isinstance(value, list) else [value]):
+            assert base64.b64encode(base64.b64decode(text)).decode() == text
 
 
 def _json_dumps_model(net):
     """The format-2 text written field by field with json.dumps: the
-    reference save_model's float formatting must equal."""
+    reference the format-2 fixture writer's float formatting must
+    equal."""
     acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
             if act.kind == "cubic" else {"kind": act.kind}
             for act in net.acts]
@@ -545,18 +553,33 @@ def _encoder_networks():
         yield build_network(method, TargetSamples(grid, values))
 
 
-def test_save_equals_the_json_dumps_encoding():
+def test_format2_writer_equals_the_json_dumps_encoding():
     for net in _encoder_networks():
-        text = save_model(net)
+        text = format2_text(net)
         assert text == _json_dumps_model(net)
-        assert save_model(load_model(text)) == text
+        assert format2_text(load_model(text)) == text
+        # format 3 holds the same networks, edge floats included
+        assert network_bytes(load_model(save_model(net))) == network_bytes(
+            load_model(text))
 
 
-def test_float_encoder_refuses_non_finite_values():
+def test_format2_float_encoder_refuses_non_finite_values():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             _json_floats(np.array([1.0, bad, -0.0]))
     assert _json_floats(np.array(_EDGE_FLOATS)) == json.dumps(_EDGE_FLOATS)
+
+
+def test_save_refuses_non_finite_values():
+    # Network refuses such values, so they are put in behind its back
+    for name in ("weight", "bias", "taps", "tap_bias"):
+        for bad in (np.nan, np.inf, -np.inf):
+            net = _built("constant", 9)
+            values = getattr(net, name).copy()
+            values.flat[-1] = bad
+            object.__setattr__(net, name, values)
+            with pytest.raises(ValueError, match=name):
+                save_model(net)
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -568,9 +591,10 @@ def test_format1_loads_to_the_format2_arrays(method, n):
                               rng.uniform(-1.0, 1.0, n + 1)])
     values[0, 1] = -0.0
     net = build_network(method, TargetSamples(grid, values), 0.0)
-    v2 = load_model(save_model(net))
-    assert network_bytes(load_model(format1_text(net))) == network_bytes(v2)
-    assert network_bytes(v2) == network_bytes(net)
+    v3 = load_model(save_model(net))
+    assert network_bytes(load_model(format1_text(net))) == network_bytes(v3)
+    assert network_bytes(load_model(format2_text(net))) == network_bytes(v3)
+    assert network_bytes(v3) == network_bytes(net)
 
 
 def _doc(method="linear-ramp"):
@@ -578,7 +602,7 @@ def _doc(method="linear-ramp"):
 
 
 def _doc2(method="linear-ramp"):
-    return json.loads(save_model(_built(method, 4)))
+    return json.loads(format2_text(_built(method, 4)))
 
 
 def _expect_format_error(doc, fragment):
@@ -669,8 +693,7 @@ def test_load_rejects_malformed_format2_documents():
 
 def test_load_rejects_bad_format2_arrays():
     for literal in ("NaN", "Infinity", "-Infinity"):
-        text = save_model(_built("linear-ramp", 4))
-        doc = json.loads(text)
+        doc = _doc2()
         doc["weight"][1] = 0.125
         text = json.dumps(doc).replace("0.125", literal, 1)
         with pytest.raises(FormatError, match=r"weight\[1\]: .*finite"):
@@ -697,10 +720,116 @@ def test_load_rejects_bad_format2_arrays():
         doc[name] = []
         _expect_format_error(doc, name)
 
-    for fmt in (1, 3, "2", 2.0, True, None):
+    for fmt in (1, 4, "2", 2.0, True, None, "3", 3.0):
         doc = _doc2()
         doc["format"] = fmt
         _expect_format_error(doc, "format")
+
+
+_B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _packed(values, dtype="<f8"):
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode()
+
+
+def _with(i, value, dtype="<f8"):
+    """An edit of a format-3 array text that sets element i to value."""
+    def edit(text):
+        values = np.frombuffer(base64.b64decode(text), dtype).copy()
+        values[i] = value
+        return _packed(values, dtype)
+    return edit
+
+
+def _resized(delta, dtype="<f8"):
+    """An edit of a format-3 array text that adds delta elements."""
+    def edit(text):
+        values = np.frombuffer(base64.b64decode(text), dtype)
+        return _packed(np.resize(values, values.size + delta), dtype)
+    return edit
+
+
+# Each FormatError of a format-3 array: (field, edit of its JSON value,
+# pattern of the message).  A field is a key or (key, column).  The
+# edits fit any built network of at least 6 units and one output.
+FORMAT3_FAULTS = {
+    "wrong-type": [
+        ("weight", lambda t: [0.5] * 6, r"^weight: expected a base64 string$"),
+        ("group", lambda t: [0] * 6, r"^group: expected a base64 string$"),
+        (("taps", 0), lambda t: None, r"^taps\[0\]: expected a base64 string$"),
+        ("tap_bias", lambda t: 0.5, r"^tap_bias: expected a base64 string$"),
+    ],
+    "outside-alphabet": [
+        ("bias", lambda t: "*" + t[1:], r"^bias: expected standard padded base64"),
+        # the URL-safe alphabet, and a character outside ASCII
+        ("weight", lambda t: t[:4] + "-" + t[5:], r"^weight: expected standard"),
+        ("tap_bias", lambda t: t[:4] + "\u00e9" + t[5:],
+         r"^tap_bias: expected standard"),
+    ],
+    "bad-padding": [
+        ("tap_bias", lambda t: t.rstrip("="), r"^tap_bias: expected standard"),
+        ("weight", lambda t: t + "=", r"^weight: expected standard"),
+        ("bias", lambda t: t[:-1], r"^bias: expected standard"),
+    ],
+    "non-canonical": [
+        # a padding bit set: the same bytes in text save_model never writes
+        ("tap_bias", lambda t: t[:10] + _B64[_B64.index(t[10]) ^ 1] + t[11:],
+         r"^tap_bias: expected standard"),
+        ("weight", lambda t: t[:8] + "\n" + t[8:], r"^weight: expected standard"),
+        ("group", lambda t: t[:4] + " " + t[4:], r"^group: expected standard"),
+        # text after the padding
+        ("tap_bias", lambda t: t + "AAAA", r"^tap_bias: expected standard"),
+    ],
+    "partial-value": [
+        ("weight", lambda t: base64.b64encode(bytes(7)).decode(),
+         r"^weight: expected whole 8-byte values, got 7 bytes$"),
+        ("group", lambda t: base64.b64encode(base64.b64decode(t)[:-4]).decode(),
+         r"^group: expected whole 8-byte values, got \d+ bytes$"),
+    ],
+    "wrong-length": [
+        ("bias", _resized(1), r"^bias: expected (\d+) entries, one per neuron, "
+         r"got (?!\1)\d+$"),
+        ("group", _resized(-1, "<i8"), r"^group: expected \d+ entries, one per"),
+        (("taps", 0), _resized(-1), r"^taps\[0\]: expected \d+ entries, one per"),
+        ("tap_bias", _resized(1), r"^tap_bias: expected 1 entries, one per "
+         r"output column, got 2$"),
+        ("weight", lambda t: "", r"^weight: model needs at least one neuron$"),
+    ],
+    "non-finite": [
+        ("weight", _with(2, np.nan), r"^weight\[2\]: number must be finite$"),
+        (("taps", 0), _with(3, np.inf), r"^taps\[0\]\[3\]: number must be"),
+        ("tap_bias", _with(0, -np.inf), r"^tap_bias\[0\]: number must be"),
+        # a NaN with a payload: only the bit pattern says what it is
+        ("bias", _with(1, 0x7FF0_0000_0000_0001, "<i8"),
+         r"^bias\[1\]: number must be finite$"),
+    ],
+    "group-out-of-range": [
+        ("group", _with(5, 1, "<i8"),
+         r"^group\[5\]: expected an index into acts, got 1$"),
+        ("group", _with(5, -1, "<i8"), r"^group\[5\]: .* got -1$"),
+        ("group", _with(5, 2 ** 63 - 1, "<i8"), r"^group\[5\]: .* got 9223"),
+    ],
+}
+
+
+def tampered(doc, field, edit):
+    """doc with the JSON value at field replaced by edit(value)."""
+    key, k = field if isinstance(field, tuple) else (field, None)
+    if k is None:
+        doc[key] = edit(doc[key])
+    else:
+        doc[key][k] = edit(doc[key][k])
+    return doc
+
+
+@pytest.mark.parametrize("fault", FORMAT3_FAULTS)
+def test_load_rejects_bad_format3_arrays(fault):
+    for field, edit, pattern in FORMAT3_FAULTS[fault]:
+        doc = tampered(json.loads(save_model(_built("linear-ramp", 4))), field,
+                       edit)
+        with pytest.raises(FormatError, match=pattern):
+            load_model(json.dumps(doc))
 
 
 def test_load_names_huge_integers():
@@ -774,7 +903,7 @@ def test_load_keeps_the_sign_of_a_zero_a1():
     net = Network([1.0, 1.0], [0.0, 0.0],
                   (Activation.cubic(0.0), Activation.cubic(-0.0)), [0, 1],
                   [[1.0], [1.0]], [0.0], "constant", 1)
-    for text in (save_model(net), format1_text(net)):
+    for text in (save_model(net), format1_text(net), format2_text(net)):
         loaded = load_model(text)
         assert network_bytes(loaded) == network_bytes(net)
         assert save_model(loaded) == save_model(net)

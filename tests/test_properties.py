@@ -4,18 +4,20 @@ every built network matches its reference model at every knot.
 Hypothesis draws small hybrid networks (every activation kind, cubic
 slopes including +-0.0, signed-zero and extreme weights and taps) and
 checks that saving and loading changes neither the text, nor a byte of
-the network, nor a byte of its outputs, and that format 1 loads to the
-same arrays as format 2.  It also draws knot counts N (powers of two or
-not) and knot data, and checks each method's network against its
-matching oracle at every knot and both of its float neighbours, where
-x * N rounds either way, also on data scaled by 10^-300 to 10^300,
-where a method may instead refuse with a typed error.  The runs are
-derandomized and keep no example
-database, so the suite is deterministic and writes no files.
+the network, nor a byte of its outputs, and that formats 1 and 2 load
+to the same arrays as format 3.  It also draws knot counts N (powers of
+two or not), knot data and a cubic slope (0, 0.5, 0.75 or uniform in
+[0, 0.75]), and checks each method's network against its matching
+oracle at every knot and both of its float neighbours, where x * N
+rounds either way, also on data scaled by 10^-300 to 10^300, where a
+method may instead refuse with a typed error.  The runs are
+derandomized and keep no example database, so the suite is
+deterministic and writes no files.
 """
 
 import numpy as np
 from format1 import format1_text, network_bytes
+from format2 import format2_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,14 +86,18 @@ def test_save_and_load_change_no_byte(net, points):
     xs = np.array(points)
     assert _outputs(loaded, xs) == _outputs(net, xs)
     assert network_bytes(load_model(format1_text(net))) == network_bytes(loaded)
+    assert network_bytes(load_model(format2_text(net))) == network_bytes(loaded)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(st.integers(1, 512), st.booleans(), st.integers(0, 2**32 - 1))
-def test_networks_match_their_oracles_around_every_knot(n, signs, seed):
+@given(st.integers(1, 512), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.5, 0.75]) | st.floats(0.0, 0.75))
+def test_networks_match_their_oracles_around_every_knot(n, signs, seed,
+                                                         slope):
     # The contract, 1e-9 * max(1, |f|), at the knots and their float
     # neighbours: the compiled form everywhere, then the network's own
-    # forward pass at the compiled form's worst point.
+    # forward pass at the compiled form's worst point.  slope is the
+    # cubic designs' inflection slope; the other designs do not use it.
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, n + 1)
     if signs:
@@ -103,14 +109,15 @@ def test_networks_match_their_oracles_around_every_knot(n, signs, seed):
     for method in METHODS:
         if method == "cubic-spaced" and n % 2:
             continue
-        net = build_network(method, samples)
-        ref = eval_oracle_grid(matching_oracle(method, samples), xs)[:, 0]
+        net = build_network(method, samples, slope)
+        ref = eval_oracle_grid(matching_oracle(method, samples, slope),
+                               xs)[:, 0]
         scale = np.maximum(1.0, np.abs(ref))
         dev = np.abs(compile_network(net).eval(xs)[:, 0] - ref) / scale
         i = int(np.argmax(dev))
-        assert dev[i] <= 1e-9, (method, n, xs[i], dev[i])
+        assert dev[i] <= 1e-9, (method, n, slope, xs[i], dev[i])
         dense = abs(forward_grid(net, xs[i:i + 1])[0, 0] - ref[i]) / scale[i]
-        assert dense <= 1e-9, (method, n, xs[i], dense)
+        assert dense <= 1e-9, (method, n, slope, xs[i], dense)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
