@@ -8,7 +8,7 @@ import numpy as np
 
 from .activations import DEFAULT_SLOPE
 from .builders import build_network, matching_oracle
-from .errors import NumericalError, UsageError
+from .errors import NumericalError, UsageError, require_int
 from .grids import KnotGrid, TargetSamples
 from .network import compile_network, forward_grid
 from .oracle import eval_oracle_grid
@@ -58,10 +58,10 @@ class ConvergenceReport:
 
 
 def uniform_grid(grid_size):
-    """grid_size evenly spaced points on [0, 1], both ends included."""
-    grid_size = int(grid_size)
-    if grid_size < 2:
-        raise UsageError("evaluation grid needs at least 2 points")
+    """grid_size evenly spaced points on [0, 1], both ends included;
+    grid_size must be an int or numpy integer of at least 2."""
+    grid_size = require_int(grid_size, 2, "evaluation grid needs at least "
+                            "2 points, an integer count, got %r" % (grid_size,))
     try:
         return np.linspace(0.0, 1.0, grid_size)
     except (ValueError, IndexError, MemoryError) as exc:
@@ -106,9 +106,14 @@ def verify_equivalence(net, model, grid_size=10001, tol=1e-9):
     deviation is measured again on the network's own forward pass, one
     point of forward_grid, and the larger of the two is reported: the
     verdict never rests on the compiled form alone at the point that
-    decides it.  tol must be a number >= 0 (UsageError otherwise).
+    decides it.  tol must convert to a float >= 0 and grid_size must be
+    an integer >= 2 (UsageError otherwise).
     """
-    if not float(tol) >= 0.0:
+    try:
+        tol_value = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        tol_value = float("nan")
+    if not tol_value >= 0.0:
         raise UsageError("tolerance must be >= 0, got %r" % (tol,))
     if net.out_dim != model.q:
         raise UsageError(
@@ -122,10 +127,10 @@ def verify_equivalence(net, model, grid_size=10001, tol=1e-9):
     dense = np.abs(forward_grid(net, xs[row:row + 1])[0] - ref[row])
     max_dev = max(float(diff.flat[flat]), float(np.max(dense)))
     return EquivalenceReport(
-        passed=max_dev <= tol,
+        passed=max_dev <= tol_value,
         max_deviation=max_dev,
         worst_x=float(xs[row]),
-        tol=float(tol),
+        tol=tol_value,
         grid_size=xs.size,
     )
 
@@ -145,11 +150,11 @@ def estimate_order(method, target, n_values, grid_size=10001,
         target = get_target(target)
     if not isinstance(target, TargetDef):
         raise UsageError("target must be a registry name or TargetDef")
-    n_values = [int(n) for n in n_values]
+    n_values = list(n_values)
     if len(n_values) < 3:
         raise UsageError("order estimation needs at least 3 values of N")
-    if any(n < 4 for n in n_values):
-        raise UsageError("order estimation needs N >= 4")
+    n_values = [require_int(n, 4, "order estimation needs N >= 4, each an "
+                            "integer, got %r" % (n,)) for n in n_values]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise UsageError("N values must be strictly increasing")
     if route not in ("network", "oracle"):

@@ -14,12 +14,12 @@ x_{N+1} = 1 + h; those lie outside [0, 1], which is harmless because
 equivalence with the reference models is only claimed on [0, 1].
 
 Each method is one row of _DESIGNS, and build_network and
-matching_oracle both read it: (kind, units, kernel, spacing, coupled)
-is the activation kind, the units of one group, and the kernel and
-spacing of the kernel-sum model the network realizes, with coupled
-telling where that model's coefficients c_j solve the coupling system
-g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j (adjacent bumps overlap with value
-0.5 at distance h) instead of being the samples at the spacing's knots.
+matching_oracle both read it: (kind, units, kernel, stride, coupled)
+is the activation kind, the units of one group, the kernel of the
+kernel-sum model the network realizes, the knot stride of its groups
+and kernels, and whether that model's coefficients c_j solve the
+coupling system g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j (adjacent bumps
+overlap with value 0.5 at distance h) or are the samples at its knots.
 
   constant      a step rising at x_j for j < N; a box is the difference
                 of two steps, so the taps are c_j - c_{j-1}, c_{-1} = 0.
@@ -30,8 +30,8 @@ g_j + 0.5 (g_{j-1} + g_{j+1}) = f_j (adjacent bumps overlap with value
                 x_{j+1}, taps (c, c): again c_j * (triangle + 1).
   cubic         the same pair with the monotone cubic, a unit bump plus
                 1; coupled.
-  cubic-spaced  bumps only at even knots, which do not overlap at the
-                knots, so c_j = f_j; N must be even.
+  cubic-spaced  the cubic pair at stride 2: bumps at even knots do not
+                overlap at the knots, so c_j = f_j; N must be even.
 
 For every kernel but the box, a group sums to c_j * (kernel + 1), and
 the tap bias removes the shift: the exactly rounded sum of
@@ -56,11 +56,8 @@ from .activations import (
 from .errors import NumericalError, UsageError
 from .network import Network
 from .oracle import (
-    _STRIDE,
     BOX,
     CUBIC_BUMP,
-    EVERY_KNOT,
-    EVERY_OTHER_KNOT,
     TRIANGLE,
     KernelKind,
     PiecewiseOracle,
@@ -126,31 +123,30 @@ def solve_bump_coupling(samples):
 # A unit is (direction, knot offset, tap sign): it rises (+1) or falls
 # (-1) at x_{j+offset}, and its tap is sign * c_j.
 _PAIR = ((1.0, -1, 1.0), (-1.0, 1, 1.0))
-_Design = namedtuple("_Design", "kind units kernel spacing coupled")
+_Design = namedtuple("_Design", "kind units kernel stride coupled")
 _DESIGNS = {
-    "constant": _Design(STEP, ((1.0, 0, 1.0),), BOX, EVERY_KNOT, False),
+    "constant": _Design(STEP, ((1.0, 0, 1.0),), BOX, 1, False),
     "linear-relu": _Design(RELU, ((1.0, -1, 1.0), (1.0, 0, -1.0),
                                   (-1.0, 1, 1.0), (-1.0, 0, -1.0)),
-                           TRIANGLE, EVERY_KNOT, False),
-    "linear-ramp": _Design(RAMP, _PAIR, TRIANGLE, EVERY_KNOT, False),
-    "cubic": _Design(CUBIC, _PAIR, CUBIC_BUMP, EVERY_KNOT, True),
-    "cubic-spaced": _Design(CUBIC, _PAIR, CUBIC_BUMP, EVERY_OTHER_KNOT, False),
+                           TRIANGLE, 1, False),
+    "linear-ramp": _Design(RAMP, _PAIR, TRIANGLE, 1, False),
+    "cubic": _Design(CUBIC, _PAIR, CUBIC_BUMP, 1, True),
+    "cubic-spaced": _Design(CUBIC, _PAIR, CUBIC_BUMP, 2, False),
 }
 METHODS = tuple(_DESIGNS)
 
 
 def _design(method, grid, slope):
-    """The design row of method and its knot stride; UsageError for an
-    unknown method or an N the stride does not divide, and DomainError
-    for a cubic slope outside [0, 0.75], whatever the method."""
+    """The design row of method; UsageError for an unknown method or an
+    N its stride does not divide, and DomainError for a cubic slope
+    outside [0, 0.75], whatever the method."""
     design = _DESIGNS.get(method) if isinstance(method, str) else None
     if design is None:
         raise UsageError("unknown construction method %r" % (method,))
     solve_cubic_coefficients(slope)
-    stride = _STRIDE[design.spacing]
-    if grid.n % stride:
+    if grid.n % design.stride:
         raise UsageError("%s design requires even N" % method)
-    return design, stride
+    return design
 
 
 def build_network(method, samples, slope=DEFAULT_SLOPE):
@@ -162,13 +158,14 @@ def build_network(method, samples, slope=DEFAULT_SLOPE):
     Raises NumericalError, naming the output column, when a tap or a
     tap bias overflows.
     """
-    design, stride = _design(method, samples.grid, slope)
+    design = _design(method, samples.grid, slope)
     act = Activation.cubic(slope) if design.kind == CUBIC else Activation(design.kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = solve_bump_coupling(samples).g if design.coupled else samples.values[::stride]
+        c = (solve_bump_coupling(samples).g if design.coupled
+             else samples.values[::design.stride])
         if design.kernel == BOX:
             c = np.diff(c[:-1], axis=0, prepend=0.0)
-    knots = stride * np.arange(len(c))
+    knots = design.stride * np.arange(len(c))
     q = c.shape[1]
     tap_bias = np.zeros(q)
     for k in range(q):
@@ -199,8 +196,9 @@ def matching_oracle(method, samples, slope=DEFAULT_SLOPE):
     construction side's closed-form solve, so a network-vs-oracle
     comparison exercises both solvers end to end.
     """
-    design, stride = _design(method, samples.grid, slope)
+    design = _design(method, samples.grid, slope)
     kernel = (KernelKind.cubic_bump(slope) if design.kernel == CUBIC_BUMP
               else KernelKind(design.kernel))
-    c = sine_solve_coupling(samples) if design.coupled else samples.values[::stride]
-    return PiecewiseOracle(samples.grid, kernel, c, design.spacing)
+    c = (sine_solve_coupling(samples) if design.coupled
+         else samples.values[::design.stride])
+    return PiecewiseOracle(samples.grid, kernel, c, design.stride)

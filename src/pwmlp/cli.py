@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .activations import DEFAULT_SLOPE
+from .activations import DEFAULT_SLOPE, solve_cubic_coefficients
 from .analysis import estimate_order, uniform_grid, verify_equivalence
 from .builders import METHODS, build_network, matching_oracle
 from .errors import DomainError, FormatError, NumericalError, UsageError
@@ -277,12 +277,10 @@ def cmd_convergence(args):
 
 def cmd_fit_kernel(args):
     grid = KnotGrid.uniform(args.n)
-    if args.kernel == "box":
-        kernel = KernelKind.box()
-    elif args.kernel == "triangle":
-        kernel = KernelKind.triangle()
-    else:
-        kernel = KernelKind.cubic_bump(args.slope)
+    # every kernel refuses a slope outside [0, 0.75], as every method does
+    solve_cubic_coefficients(args.slope)
+    kernel = (KernelKind.cubic_bump(args.slope) if args.kernel == "cubic"
+              else KernelKind(args.kernel))
     header, data = _read_csv(args.csv)
     if len(header) != 2 or header[0].strip() != "x":
         raise FormatError("expected header x,y", path=args.csv)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_int
 
 
 def _uniform_knots(n):
@@ -30,8 +30,9 @@ class KnotGrid:
     knots: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise UsageError("knot grid needs n >= 1")
+        object.__setattr__(self, "n", require_int(
+            self.n, 1, "knot grid needs an integer n >= 1, got %r"
+            % (self.n,)))
         k = np.asarray(self.knots, dtype=np.float64)
         if k.shape != (self.n + 1,):
             raise UsageError("knot array must have n + 1 entries")
@@ -49,11 +50,8 @@ class KnotGrid:
     def uniform(n):
         """The grid of n equal subintervals; n must be an int or numpy
         integer (not a bool) of at least 1, never truncated."""
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or n < 1):
-            raise UsageError("knot grid needs an integer n >= 1, got %r"
-                             % (n,))
-        n = int(n)
+        n = require_int(n, 1, "knot grid needs an integer n >= 1, got %r"
+                        % (n,))
         return KnotGrid(n, 1.0 / n, _uniform_knots(n))
 
 

@@ -37,7 +37,7 @@ from .activations import (
     activation_values,
     eval_activation,
 )
-from .errors import DomainError, FormatError, NumericalError, UsageError
+from .errors import DomainError, FormatError, NumericalError, UsageError, require_int
 
 
 def _frozen(values, dtype=np.float64):
@@ -74,10 +74,8 @@ class Network:
             raise UsageError("network method must be a string")
         # save_model writes n with json.dumps and load_model reads it
         # back only as a positive int, so a numpy integer is stored as int
-        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or self.n < 1):
-            raise UsageError("network n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_int(
+            self.n, 1, "network n must be a positive integer"))
         if not all(isinstance(act, Activation) for act in self.acts):
             raise UsageError("network activations must be Activation objects")
         m = self.weight.size

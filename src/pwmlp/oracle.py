@@ -1,12 +1,12 @@
 """Piecewise-polynomial reference models built from localized kernels.
 
 A model is a kernel sum sum_j c_j K(h^-1 (x - x_j)) with box, triangle
-or cubic bump kernels on every knot or every other knot: the ground
-truth the constructed networks are checked against.  One locality
+or cubic bump kernels on every stride-th knot: the ground truth the
+constructed networks are checked against.  One locality
 window of kernel rows and weights serves every evaluation (the grid
 path, a single point, and each axis of the tensor-product sum, whose
 p = 1 case is the grid path bit for bit) and the least-squares kernel
-fit.  The every-knot bump weights solve the coupling system in its sine
+fit.  The stride-1 bump weights solve the coupling system in its sine
 eigenbasis (O(N log N), refined to about eps * |g|), which shares no
 solver with the construction side's closed form; only the refinement
 of both, with its residual and its power-of-two scaling, is common.  A
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .activations import DEFAULT_SLOPE, Activation, activation_values, eval_activation
-from .errors import DomainError, NumericalError, UsageError
+from .errors import DomainError, NumericalError, UsageError, require_int
 from .grids import KnotGrid
 
 BOX = "box"
@@ -31,13 +31,8 @@ CUBIC_BUMP = "cubic-bump"
 
 KERNEL_KINDS = (BOX, TRIANGLE, CUBIC_BUMP)
 
-EVERY_KNOT = "every-knot"
-EVERY_OTHER_KNOT = "every-other-knot"
-
-# Each kernel's support lies within |u| <= radius (the box's is [0, 1)),
-# and each spacing centres its kernels on every stride-th knot.
+# Each kernel's support lies within |u| <= radius (the box's is [0, 1)).
 _SUPPORT_RADIUS = {BOX: 1, TRIANGLE: 1, CUBIC_BUMP: 2}
-_STRIDE = {EVERY_KNOT: 1, EVERY_OTHER_KNOT: 2}
 
 # Ridge added to the normal equations in fit_kernel_weights.  Large
 # enough to repair near-collinear boundary kernels, small enough not to
@@ -129,9 +124,7 @@ def reproduction_degree(kernel, stride=1):
     as constant when its spread is within MOMENT_RTOL of the largest
     sum of absolute terms.
     """
-    stride = int(stride)
-    if stride < 1:
-        raise UsageError("kernel stride must be a positive integer")
+    stride = require_int(stride, 1, "kernel stride must be a positive integer")
     radius = _SUPPORT_RADIUS[kernel.kind]
     u = (np.arange(MOMENT_POINTS * stride) + 0.5) / MOMENT_POINTS
     # every j with |u - stride*j| <= radius for u in [0, stride)
@@ -152,27 +145,27 @@ def reproduction_degree(kernel, stride=1):
 class PiecewiseOracle:
     """Kernel-sum approximant sum_j c_j K(h^-1 (x - x_j)).
 
-    One coefficient row per kernel centre: every knot, or every other
-    knot for the every-other-knot spacing.
+    One coefficient row per kernel centre x_0, x_stride, ..., x_n: the
+    kernels sit on every stride-th knot, and stride must divide n.  The
+    box kernel sits on every knot (stride 1).
     """
 
     grid: KnotGrid
     kernel: KernelKind
     coefficients: np.ndarray
-    spacing: str = EVERY_KNOT
+    stride: int = 1
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.float64)
         if c.ndim == 1:
             c = c.reshape(-1, 1)
-        stride = _STRIDE.get(self.spacing)
-        if stride is None:
-            raise UsageError("unknown spacing %r" % (self.spacing,))
+        stride = require_int(self.stride, 1, "oracle stride must be a "
+                             "positive integer, got %r" % (self.stride,))
         if self.grid.n % stride != 0:
-            raise UsageError("%s spacing requires n to be a multiple of %d"
-                             % (self.spacing, stride))
+            raise UsageError("stride %d does not divide n = %d"
+                             % (stride, self.grid.n))
         if self.kernel.kind == BOX and stride != 1:
-            raise UsageError("the box kernel needs every-knot spacing")
+            raise UsageError("the box kernel needs stride 1, got %d" % stride)
         rows = self.grid.n // stride + 1
         if c.ndim != 2 or c.shape[0] != rows:
             raise UsageError(
@@ -181,6 +174,7 @@ class PiecewiseOracle:
         if not np.all(np.isfinite(c)):
             raise UsageError("oracle coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "stride", stride)
 
     @property
     def q(self):
@@ -215,7 +209,7 @@ def _window(model, xs):
         j = j + ((j < n - 1) & (xn >= n * knots[j + 1]))
         yield j, np.ones(xs.size)
         return
-    stride = _STRIDE[model.spacing]
+    stride = model.stride
     half = -(-_SUPPORT_RADIUS[model.kernel.kind] // stride)
     last = model.coefficients.shape[0] - 1
     for off in range(1 - half, half + 1):
@@ -360,7 +354,7 @@ def sine_solve_coupling(samples):
     """Solve the bump-coupling system in its sine eigenbasis, O(N log N)
     time and O(N) memory, refined with refine_coupling.
 
-    The reference solve of the every-knot bump model: it shares no code
+    The reference solve of the stride-1 bump model: it shares no code
     with the construction side's closed-form solve, and both refined
     solves reach the same g to within a few units in the last place of
     max|g|.

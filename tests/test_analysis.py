@@ -1,6 +1,7 @@
 """Unit tests for error measurement, verification, order fitting, and the
 builtin targets."""
 
+import json
 import math
 
 import numpy as np
@@ -27,8 +28,11 @@ from pwmlp import (
 def test_uniform_grid():
     xs = uniform_grid(5)
     assert np.array_equal(xs, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    with pytest.raises(UsageError):
-        uniform_grid(1)
+    assert uniform_grid(np.int64(3)).tolist() == [0.0, 0.5, 1.0]
+    # a count is never truncated: 2.7 is not 2, True is not 1
+    for count in (1, np.int64(1), 2.7, 5.0, True, "5", None):
+        with pytest.raises(UsageError, match="at least 2 points"):
+            uniform_grid(count)
 
 
 def test_builtin_target_values():
@@ -113,14 +117,34 @@ def test_verify_equivalence_flags_mismatched_pair():
     assert 0.0 <= report.worst_x <= 1.0
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1.0, "abc", None,
+                                 [1e-9], pytest.param(10**400, id="10**400")])
 def test_verify_equivalence_refuses_a_nan_or_negative_tol(tol):
     samples = _samples(8, "sin2pi")
     net = build_network("linear-ramp", samples)
     model = matching_oracle("linear-ramp", samples)
-    with pytest.raises(UsageError, match="tolerance"):
+    with pytest.raises(UsageError, match="tolerance must be >= 0, got "):
         verify_equivalence(net, model, tol=tol)
     assert verify_equivalence(net, model, tol=0.0).tol == 0.0
+
+
+@pytest.mark.parametrize("tol", ["1e-9", np.float32(1e-9), np.array(1e-9), 1])
+def test_verify_equivalence_compares_with_the_float_of_tol(tol):
+    samples = _samples(8, "sin2pi")
+    net = build_network("linear-ramp", samples)
+    model = matching_oracle("linear-ramp", samples)
+    report = verify_equivalence(net, model, tol=tol)
+    assert report.passed is True
+    assert type(report.tol) is float and report.tol == float(tol)
+
+
+def test_verify_equivalence_refuses_a_fractional_grid_size():
+    samples = _samples(8, "sin2pi")
+    net = build_network("linear-ramp", samples)
+    model = matching_oracle("linear-ramp", samples)
+    with pytest.raises(UsageError, match="at least 2 points, an integer "
+                                         "count, got 100.9"):
+        verify_equivalence(net, model, grid_size=100.9)
 
 
 def test_cubic_on_rough_data_meets_the_contract_at_16384():
@@ -177,6 +201,16 @@ def test_estimate_order_validation():
         estimate_order("constant", "nope", [16, 32, 64])
     with pytest.raises(UsageError):
         estimate_order("constant", 3.14, [16, 32, 64])
+    # N values are never truncated
+    for n_values in ([16.9, 32, 64], [16, 32.0, 64], [True, 32, 64],
+                     [16, 32, "64"]):
+        with pytest.raises(UsageError, match="N >= 4, each an integer"):
+            estimate_order("linear-ramp", "sin2pi", n_values)
+    # numpy integer N are stored as Python ints, which write as JSON
+    report = estimate_order("linear-ramp", "sin2pi", np.array([8, 16, 32]),
+                            grid_size=101)
+    assert [type(n) for n in report.n_values] == [int, int, int]
+    assert json.loads(json.dumps(report.n_values)) == [8, 16, 32]
 
 
 def test_estimate_order_zero_error_short_circuit():

@@ -2,6 +2,7 @@
 construction methods."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -54,13 +55,19 @@ def test_grid_validation():
 
 
 def test_uniform_grid_takes_only_a_positive_integer():
-    # a count is never truncated: 2.5 is not 2, True is not 1, "4" is not 4
+    # a count is never truncated: 2.5 is not 2, True is not 1, "4" is not 4;
+    # the constructor applies the same rule as KnotGrid.uniform
     for n in (2.5, 4.0, np.float64(4.0), True, False, "4", None, -3,
               np.int64(0)):
-        with pytest.raises(UsageError, match="integer n >= 1"):
+        message = "integer n >= 1, got %s" % re.escape(repr(n))
+        with pytest.raises(UsageError, match=message):
             KnotGrid.uniform(n)
+        with pytest.raises(UsageError, match=message):
+            KnotGrid(n, 0.25, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
     grid = KnotGrid.uniform(np.int64(4))
     assert type(grid.n) is int and grid.n == 4 and grid.h == 0.25
+    grid = KnotGrid(np.int64(4), 0.25, grid.knots)
+    assert type(grid.n) is int and grid.n == 4
 
 
 def test_target_samples_shapes():

@@ -702,6 +702,21 @@ def test_convergence_bad_n_list(tmp_path, capsys):
     assert code == 2 and "n-list" in err
 
 
+@pytest.mark.parametrize("kernel", ["box", "triangle", "cubic"])
+def test_fit_kernel_refuses_a_slope_out_of_range_for_every_kernel(
+        tmp_path, capsys, kernel):
+    csv_path = tmp_path / "dense.csv"
+    xs = np.linspace(0.0, 1.0, 40)
+    csv_path.write_text("x,y\n" + "".join("%r,%r\n" % (x, x * x)
+                                          for x in xs.tolist()))
+    out = tmp_path / "fit.json"
+    code, text, err = run(capsys, "fit-kernel", kernel, "--n", "8",
+                          "--csv", str(csv_path), "--slope", "7",
+                          "--out", str(out))
+    assert code == 2 and text == "" and not out.exists()
+    assert "inflection slope 7.0 outside [0, 0.75]" in err
+
+
 def test_fit_kernel_recovers_and_reports(tmp_path, capsys):
     n = 6
     grid = KnotGrid.uniform(n)

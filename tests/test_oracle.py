@@ -105,26 +105,34 @@ def test_reproduction_degree_of_bump(stride):
 
 
 def test_reproduction_degree_validation():
-    with pytest.raises(UsageError):
-        reproduction_degree(KernelKind.triangle(), stride=0)
+    # a stride is never truncated: 1.5 would run at stride 1
+    for stride in (0, -1, True, 1.5, "2"):
+        with pytest.raises(UsageError, match="positive integer"):
+            reproduction_degree(KernelKind.triangle(), stride=stride)
+    assert reproduction_degree(KernelKind.cubic_bump(0.5), np.int64(2)) == 1
 
 
 def test_oracle_coefficient_validation():
     grid = KnotGrid.uniform(4)
     with pytest.raises(UsageError):
         PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
-    with pytest.raises(UsageError):
-        PiecewiseOracle(grid, KernelKind.triangle(), np.ones(5),
-                        spacing="alternate")
-    with pytest.raises(UsageError):
+    for stride in (0, -1, True, 1.5, "2"):
+        with pytest.raises(UsageError, match="stride must be a positive"):
+            PiecewiseOracle(grid, KernelKind.triangle(), np.ones(5), stride)
+    with pytest.raises(UsageError, match="stride 2 does not divide n = 5"):
         PiecewiseOracle(KnotGrid.uniform(5), KernelKind.cubic_bump(),
-                        np.ones(3), spacing="every-other-knot")
+                        np.ones(3), stride=2)
+    with pytest.raises(UsageError, match="stride 3 does not divide n = 4"):
+        PiecewiseOracle(grid, KernelKind.triangle(), np.ones(2), stride=3)
     with pytest.raises(UsageError):
         PiecewiseOracle(grid, KernelKind.box(), np.array([1.0, np.nan,
                                                           0.0, 0.0, 0.0]))
-    with pytest.raises(UsageError, match="every-knot"):
-        PiecewiseOracle(grid, KernelKind.box(), np.ones(3),
-                        spacing="every-other-knot")
+    with pytest.raises(UsageError, match="box kernel needs stride 1"):
+        PiecewiseOracle(grid, KernelKind.box(), np.ones(3), stride=2)
+    # a numpy integer stride is stored as a Python int
+    model = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(3),
+                            np.int64(2))
+    assert type(model.stride) is int and model.stride == 2
 
 
 def test_oracle_domain():
@@ -144,11 +152,11 @@ def _naive_sum(model, xs):
     # full kernel sum, no locality window: every kernel row r at
     # u = x * n - stride * r, as the model defines it (the knot array
     # is rounded off powers of two, by up to 3e-13 in u at n = 3000)
-    stride = 1 if model.spacing == "every-knot" else 2
     xn = xs * model.grid.n
     total = np.zeros((xs.size, model.q))
     for r, c in enumerate(model.coefficients):
-        total += c * kernel_values(model.kernel, xn - stride * r)[:, None]
+        total += c * kernel_values(model.kernel,
+                                   xn - model.stride * r)[:, None]
     return total
 
 
@@ -161,7 +169,12 @@ def _random_models(rng, n):
     yield PiecewiseOracle(grid, KernelKind.cubic_bump(), c)
     if n % 2 == 0:
         yield PiecewiseOracle(grid, KernelKind.cubic_bump(0.6),
-                              c[0::2, :], spacing="every-other-knot")
+                              c[0::2, :], stride=2)
+    if n % 3 == 0:
+        yield PiecewiseOracle(grid, KernelKind.triangle(), c[0::3, :],
+                              stride=3)
+        yield PiecewiseOracle(grid, KernelKind.cubic_bump(0.25),
+                              c[0::3, :], stride=3)
 
 
 def test_localized_window_matches_naive_sum():
@@ -183,16 +196,17 @@ def test_localized_window_matches_naive_sum():
 
 
 def _offset_models(n):
-    """(model, stride, half) for every kernel and spacing whose window
-    runs over row offsets; half = ceil(support radius / stride)."""
+    """(model, half) for every kernel and stride 1, 2, 3 dividing n whose
+    window runs over row offsets; half = ceil(support radius / stride)."""
     grid = KnotGrid.uniform(n)
     bumps = [KernelKind.cubic_bump(s) for s in (0.0, 0.5, 0.75)]
     for kernel in [KernelKind.triangle()] + bumps:
         radius = 1 if kernel.kind == "triangle" else 2
-        yield PiecewiseOracle(grid, kernel, np.ones(n + 1)), 1, radius
-        if n % 2 == 0:
-            yield PiecewiseOracle(grid, kernel, np.ones(n // 2 + 1),
-                                  spacing="every-other-knot"), 2, 1
+        for stride in (1, 2, 3):
+            if n % stride == 0:
+                model = PiecewiseOracle(grid, kernel,
+                                        np.ones(n // stride + 1), stride)
+                yield model, -(-radius // model.stride)
 
 
 @pytest.mark.parametrize("n", [7, 1000, 3000, 4096])
@@ -206,15 +220,15 @@ def test_window_leaves_out_only_rows_of_weight_zero(n):
                          np.nextafter(knots[1:], 0.0),
                          np.nextafter(knots[:-1], 1.0), [0.0, 1.0]])
     xn = xs * n
-    for model, stride, half in _offset_models(n):
-        base = xn.astype(np.int64) // stride
+    for model, half in _offset_models(n):
+        base = xn.astype(np.int64) // model.stride
         last = model.coefficients.shape[0] - 1
         inner = (base >= half) & (base + half < last)
         visited = [np.unique(rows[inner] - base[inner]).tolist()
                    for rows, _ in oracle._window(model, xs)]
         assert visited == [[off] for off in range(1 - half, half + 1)]
         for off in (-half, half + 1):
-            u = xn - stride * (base + off)
+            u = xn - model.stride * (base + off)
             assert np.all(kernel_values(model.kernel, u) == 0.0)
 
 
@@ -258,7 +272,7 @@ def test_tensor_product_reduces_to_eval_oracle_bitwise():
     for model in _random_models(rng, 8):
         single = PiecewiseOracle(model.grid, model.kernel,
                                  model.coefficients[:, 0],
-                                 spacing=model.spacing)
+                                 model.stride)
         for x in rng.uniform(0.0, 1.0, 100):
             got = eval_tensor_product([single], single.coefficients[:, 0],
                                       [x])
@@ -462,7 +476,8 @@ def test_matching_oracle_selection():
     cubic = matching_oracle("cubic", samples, slope=0.6)
     assert cubic.kernel.kind == "cubic-bump" and cubic.kernel.slope == 0.6
     spaced = matching_oracle("cubic-spaced", samples)
-    assert spaced.spacing == "every-other-knot"
+    assert spaced.stride == 2
+    assert matching_oracle("cubic", samples).stride == 1
     assert spaced.coefficients.shape == (3, 1)
     with pytest.raises(UsageError):
         matching_oracle("cubic-spaced",
