@@ -40,7 +40,20 @@ from .activations import (
 from .errors import DomainError, FormatError, NumericalError, UsageError, require_int
 
 
+def _bytes_backed(arr):
+    """Whether arr's memory belongs to an immutable bytes object, as
+    np.frombuffer of a bytes object gives: nothing can write it."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return type(arr) is bytes
+
+
 def _frozen(values, dtype=np.float64):
+    """values as a read-only array of dtype: values itself when it is a
+    read-only array of that dtype backed by bytes, else a copy."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and not values.flags.writeable and _bytes_backed(values)):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -53,7 +66,10 @@ class Network:
     Unit i computes acts[group[i]](weight[i] * x + bias[i]); output k is
     tap_bias[k] + sum_i taps[i, k] * unit_i(x).  weight, bias (m,),
     taps (m, q) and tap_bias (q,) are stored as read-only float64
-    copies, group (m,) as a read-only int64 copy.
+    copies, group (m,) as a read-only int64 copy.  An array that is
+    already read-only, of that dtype, and backed by an immutable bytes
+    object (load_model's np.frombuffer of the decoded base64) is kept
+    without a copy, since nothing can write its memory.
     """
 
     weight: np.ndarray
@@ -530,6 +546,9 @@ def save_model(net):
     own line with its value written without indent, so
     ``save_model(load_model(text)) == text``.  Raises ValueError when a
     float array holds a value that is not finite.
+
+    The text is one join over a flat list of its pieces, so at its peak
+    the call holds the pieces and the text: about twice the text.
     """
     for name in ("weight", "bias", "taps", "tap_bias"):
         if not np.isfinite(getattr(net, name)).all():
@@ -537,19 +556,19 @@ def save_model(net):
     acts = [{"kind": act.kind, "a1": act.cubic_coeffs[1]}
             if act.kind == CUBIC else {"kind": act.kind}
             for act in net.acts]
-    fields = (
-        ("format", json.dumps(3)),
-        ("method", json.dumps(net.method)),
-        ("n", json.dumps(net.n)),
-        ("acts", json.dumps(acts, allow_nan=False)),
-        ("group", _packed(net.group, "<i8")),
-        ("weight", _packed(net.weight)),
-        ("bias", _packed(net.bias)),
-        ("taps", "[%s]" % ", ".join(map(_packed, net.taps.T))),
-        ("tap_bias", _packed(net.tap_bias)),
-    )
-    return "{\n%s\n}\n" % ",\n".join(
-        "  %s: %s" % (json.dumps(key), value) for key, value in fields)
+    parts = ['{\n  "format": 3,\n  "method": ', json.dumps(net.method),
+             ',\n  "n": ', json.dumps(net.n),
+             ',\n  "acts": ', json.dumps(acts, allow_nan=False),
+             ',\n  "group": ', _packed(net.group, "<i8"),
+             ',\n  "weight": ', _packed(net.weight),
+             ',\n  "bias": ', _packed(net.bias),
+             ',\n  "taps": [']
+    for k, column in enumerate(net.taps.T):
+        if k:
+            parts.append(", ")
+        parts.append(_packed(column))
+    parts += ['],\n  "tap_bias": ', _packed(net.tap_bias), '\n}\n']
+    return "".join(parts)
 
 
 def _require(cond, path, message):
@@ -664,10 +683,16 @@ def _unpacked(text, path, dtype="<f8"):
     """An array stored as in format 3: the standard base64 of its
     little-endian bytes, exactly as save_model writes them.
 
-    The text is decoded and encoded again, which refuses any character
-    outside the alphabet, bad padding and non-canonical text alike.
-    The bytes must make whole 8-byte values, and a float must be
-    finite; the elements are walked only to name a bad one.
+    The text is decoded once, and refused unless it is the canonical
+    encoding of the bytes it decodes to.  That needs no second encoding
+    of the whole array: a2b_base64 skips characters outside the
+    alphabet and stops at the padding, so a text of exactly the
+    canonical length 4 * ceil(len(raw) / 3) has no such character, and
+    its last 4 characters, checked against the encoding of raw's last
+    1-3 bytes, rule out bad padding and set padding bits.  The bytes
+    must make whole 8-byte values, and a float must be finite; the
+    elements are walked only to name a bad one.  The array is a
+    read-only view of the decoded bytes.
     """
     _require(isinstance(text, str), path, "expected a base64 string")
     try:
@@ -675,7 +700,9 @@ def _unpacked(text, path, dtype="<f8"):
     except ValueError:  # binascii.Error, or a character outside ASCII
         raw = None
     _require(raw is not None
-             and binascii.b2a_base64(raw, newline=False) == text.encode(),
+             and len(text) == 4 * -(-len(raw) // 3)
+             and binascii.b2a_base64(raw[-((len(raw) - 1) % 3 + 1):],
+                                     newline=False) == text[-4:].encode(),
              path, "expected standard padded base64 text")
     _require(len(raw) % 8 == 0, path,
              "expected whole 8-byte values, got %d bytes" % len(raw))
@@ -717,28 +744,30 @@ def _format2_columns(doc, numbers, indices):
     array.  numbers(value, path) reads a float array and indices(value,
     path, m, size) the activation indices: _numbers and _index_list read
     format 2's JSON lists, _unpacked and _unpacked_indices format 3's
-    base64 strings."""
+    base64 strings.  Each array is popped out of doc as it is read, so
+    its text is freed while the next one is decoded."""
     raw_acts = doc.get("acts")
     _require(isinstance(raw_acts, list) and len(raw_acts) >= 1, "acts",
              "model needs a nonempty activation list")
     acts = [_activation(act, "acts[%d]" % i) for i, act in enumerate(raw_acts)]
 
-    weight = numbers(doc.get("weight"), "weight")
+    weight = numbers(doc.pop("weight", None), "weight")
     m = weight.size
     _require(m >= 1, "weight", "model needs at least one neuron")
-    bias = numbers(doc.get("bias"), "bias")
+    bias = numbers(doc.pop("bias", None), "bias")
     _require_length(bias, m, "neuron", "bias")
 
-    group = indices(doc.get("group"), "group", m, len(acts))
+    group = indices(doc.pop("group", None), "group", m, len(acts))
 
-    raw_taps = doc.get("taps")
+    raw_taps = doc.pop("taps", None)
     _require(isinstance(raw_taps, list) and len(raw_taps) >= 1, "taps",
              "model needs a nonempty list of output columns")
     taps = []
-    for k, column in enumerate(raw_taps):
+    for k in range(len(raw_taps)):
+        column, raw_taps[k] = raw_taps[k], None
         taps.append(numbers(column, "taps[%d]" % k))
         _require_length(taps[-1], m, "neuron", "taps[%d]" % k)
-    tap_bias = numbers(doc.get("tap_bias"), "tap_bias")
+    tap_bias = numbers(doc.pop("tap_bias", None), "tap_bias")
     _require_length(tap_bias, len(taps), "output column", "tap_bias")
     return weight, bias, acts, group, taps, tap_bias
 
@@ -754,6 +783,12 @@ def load_model(text):
     key), which stored one object per neuron and per output.  All give
     the same arrays, bit for bit, and a malformed field raises
     FormatError naming its path.
+
+    Each format-3 array is decoded once, and the network keeps the
+    decoded bytes as its read-only arrays (a multi-column taps matrix
+    is gathered into one copy), so beyond text the call holds about
+    one more copy of the text at its peak: the parsed document, whose
+    arrays are freed as they are decoded.
     """
     try:
         doc = json.loads(text)
@@ -775,5 +810,6 @@ def load_model(text):
                  "unknown model format %r" % (fmt,))
         columns = _format2_columns(doc, *_DECODERS[fmt])
     weight, bias, acts, group, taps, tap_bias = columns
-    return Network(weight, bias, tuple(acts), group, np.array(taps).T,
-                   tap_bias, doc["method"], n)
+    taps = taps[0][:, None] if len(taps) == 1 else np.array(taps).T
+    return Network(weight, bias, tuple(acts), group, taps, tap_bias,
+                   doc["method"], n)

@@ -122,9 +122,19 @@ def reproduction_degree(kernel, stride=1):
     ``stride`` and is a polynomial of degree <= k + 3 between integers,
     so 64 midpoint samples per unit of u see any variation; M_k counts
     as constant when its spread is within MOMENT_RTOL of the largest
-    sum of absolute terms.
+    sum of absolute terms.  A stride above twice the support radius
+    leaves points that no shift covers, where M_0 is 0, so the answer
+    is -1 without sampling.
     """
     stride = require_int(stride, 1, "kernel stride must be a positive integer")
+    if stride > 2 * _SUPPORT_RADIUS[kernel.kind]:
+        return -1
+    return _sampled_degree(kernel, stride)
+
+
+def _sampled_degree(kernel, stride):
+    """reproduction_degree by sampling the moment sums over one period,
+    at a cost of O(stride)."""
     radius = _SUPPORT_RADIUS[kernel.kind]
     u = (np.arange(MOMENT_POINTS * stride) + 0.5) / MOMENT_POINTS
     # every j with |u - stride*j| <= radius for u in [0, stride)

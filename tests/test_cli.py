@@ -421,6 +421,33 @@ def test_verify_cubic_at_32768_in_bounded_memory(capsys):
     assert peak < 200e6
 
 
+def _traced_peak(capsys, *argv):
+    """tracemalloc's peak over one in-process CLI call, which must exit 0."""
+    tracemalloc.start()
+    try:
+        code = run(capsys, *argv)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_build_and_eval_peaks_stay_near_the_model_size(tmp_path, capsys):
+    # save_model joins one flat list of pieces, and load_model decodes
+    # each array once into bytes the network keeps, so neither call
+    # holds more than about twice the text beyond the network
+    model = tmp_path / "m.json"
+    build = _traced_peak(capsys, "build", "--method", "linear-relu",
+                         "--n", "4096", "--target", "sin2pi",
+                         "--out", str(model))
+    size = model.stat().st_size
+    evaluate = _traced_peak(capsys, "eval", str(model), "--grid", "0.1,0.5",
+                            "--out", str(tmp_path / "e.csv"))
+    assert build <= 3.5 * size, build / size
+    assert evaluate <= 2.6 * size, evaluate / size
+
+
 def test_verify_overflowing_compiled_form_exits_4(tmp_path, capsys):
     # a3 * w**3 * c overflows in the compiled form of the cubic network
     csv_path = tmp_path / "samples.csv"

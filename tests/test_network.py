@@ -212,6 +212,50 @@ def test_network_arrays_are_read_only_copies():
         assert arr.dtype == dtype and not arr.flags.writeable
 
 
+def _shares_writable_memory(arr):
+    """Whether arr, or an array or object whose memory it shares, is
+    writable: True unless each array on its .base chain is read-only and
+    the chain ends in an array that owns its memory or in bytes."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return True
+        arr = arr.base
+    return arr is not None and type(arr) is not bytes
+
+
+def test_network_keeps_only_read_only_bytes_backed_arrays():
+    data = np.array([1.0, -2.0, 0.5]).tobytes()
+    kept = np.frombuffer(data, "<f8")
+    group = np.frombuffer(bytes(24), "<i8")
+    net = Network(kept, kept, (Activation.relu(),), group, kept[:, None],
+                  kept[:1], "constant", 1)
+    assert net.weight is kept and net.bias is kept and net.group is group
+    assert np.shares_memory(net.taps, kept)
+    # memory that can be written, or another dtype, is copied
+    owned = np.array([1.0, -2.0, 0.5])
+    owned.flags.writeable = False
+    view = np.arange(4.0)[1:]
+    view.flags.writeable = False
+    mutable = np.frombuffer(bytearray(data), "<f8")
+    mutable.flags.writeable = False
+    for values in (owned, view, mutable, np.frombuffer(data, ">f8"),
+                   np.frombuffer(data, "<f8").astype(np.float32)):
+        copy = Network(values, kept, (Activation.relu(),), group,
+                       kept[:, None], kept[:1], "constant", 1).weight
+        assert not np.shares_memory(copy, values)
+        assert copy.dtype == np.float64 and not _shares_writable_memory(copy)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_loaded_arrays_share_no_writable_memory(q):
+    net = _random_network(np.random.default_rng(q), q=q)
+    for text in (save_model(net), format2_text(net), format1_text(net)):
+        loaded = load_model(text)
+        assert network_bytes(loaded) == network_bytes(net)
+        for name in ("weight", "bias", "group", "taps", "tap_bias"):
+            assert not _shares_writable_memory(getattr(loaded, name)), name
+
+
 @pytest.mark.parametrize("n", (8, 64, 512, 4096))
 @pytest.mark.parametrize("method", METHODS)
 def test_compiled_matches_dense_and_oracle(method, n):

@@ -104,6 +104,18 @@ def test_reproduction_degree_of_bump(stride):
         assert reproduction_degree(KernelKind.cubic_bump(s), stride) == 0
 
 
+def test_reproduction_degree_needs_no_samples_beyond_the_support():
+    # a stride above twice the support radius leaves gaps, so no shift
+    # sum is constant; sampling 10**12 would need 64 * stride values
+    assert reproduction_degree(KernelKind.triangle(), 10**12) == -1
+    for kernel in (KernelKind.box(), KernelKind.triangle(),
+                   KernelKind.cubic_bump()):
+        radius = oracle._SUPPORT_RADIUS[kernel.kind]
+        for stride in range(1, 2 * radius + 4):
+            assert (reproduction_degree(kernel, stride)
+                    == oracle._sampled_degree(kernel, stride)), (kernel, stride)
+
+
 def test_reproduction_degree_validation():
     # a stride is never truncated: 1.5 would run at stride 1
     for stride in (0, -1, True, 1.5, "2"):

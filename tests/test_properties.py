@@ -5,15 +5,20 @@ Hypothesis draws small hybrid networks (every activation kind, cubic
 slopes including +-0.0, signed-zero and extreme weights and taps) and
 checks that saving and loading changes neither the text, nor a byte of
 the network, nor a byte of its outputs, and that formats 1 and 2 load
-to the same arrays as format 3.  It also draws knot counts N (powers of
-two or not), knot data and a cubic slope (0, 0.5, 0.75 or uniform in
-[0, 0.75]), and checks each method's network against its matching
+to the same arrays as format 3.  It edits a stored array's base64 text
+and checks that load_model refuses it exactly when the text is not the
+canonical encoding of the bytes it decodes to.  It also draws knot
+counts N (powers of two or not), knot data and a cubic slope (0, 0.5,
+0.75 or uniform in [0, 0.75]), and checks each method's network against its matching
 oracle at every knot and both of its float neighbours, where x * N
 rounds either way, also on data scaled by 10^-300 to 10^300, where a
 method may instead refuse with a typed error.  The runs are
 derandomized and keep no example database, so the suite is
 deterministic and writes no files.
 """
+
+import binascii
+import json
 
 import numpy as np
 from format1 import format1_text, network_bytes
@@ -24,6 +29,7 @@ from hypothesis import strategies as st
 from pwmlp import (
     METHODS,
     Activation,
+    FormatError,
     KnotGrid,
     Network,
     NumericalError,
@@ -87,6 +93,55 @@ def test_save_and_load_change_no_byte(net, points):
     assert _outputs(loaded, xs) == _outputs(net, xs)
     assert network_bytes(load_model(format1_text(net))) == network_bytes(loaded)
     assert network_bytes(load_model(format2_text(net))) == network_bytes(loaded)
+
+
+# The base64 alphabet and characters that a lax decoder skips, stops at
+# or refuses: padding, whitespace, the URL-safe alphabet's two, NUL and
+# a character outside ASCII.
+_BASE64_CHARS = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                 "0123456789+/=\n -_\x00é")
+edits = st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                           st.integers(0, 100),
+                           st.sampled_from(_BASE64_CHARS)), max_size=4)
+
+
+def _edited(text, changes):
+    """text after each (op, at, char) edit, at index at % (len + 1)."""
+    for op, at, char in changes:
+        i = at % (len(text) + 1)
+        if op == "insert":
+            text = text[:i] + char + text[i:]
+        else:
+            text = text[:i] + (char if op == "replace" else "") + text[i + 1:]
+    return text
+
+
+def _canonical(text):
+    """The reference: text is the standard base64 of what it decodes to."""
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError:
+        return False
+    return binascii.b2a_base64(raw, newline=False) == text.encode()
+
+
+_ONE_UNIT = json.loads(save_model(Network(
+    [1.0], [0.0], (Activation.relu(),), [0], [[1.0]], [0.0], "constant", 1)))
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.binary(max_size=40), edits)
+def test_load_model_accepts_exactly_canonical_base64(raw, changes):
+    # weight is the first array read, so a refusal of its text is the
+    # error raised; any later error (its length, bias, ...) means the
+    # text itself was accepted.
+    text = _edited(binascii.b2a_base64(raw, newline=False).decode(), changes)
+    try:
+        load_model(json.dumps(dict(_ONE_UNIT, weight=text)))
+        refused = False
+    except FormatError as exc:
+        refused = str(exc) == "weight: expected standard padded base64 text"
+    assert refused == (not _canonical(text)), text
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
