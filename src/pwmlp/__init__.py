@@ -7,7 +7,6 @@ from .activations import (
     DEFAULT_SLOPE,
     Activation,
     activation_values,
-    eval_activation,
     solve_cubic_coefficients,
 )
 from .analysis import (
@@ -38,7 +37,6 @@ from .network import (
     Network,
     PiecewiseNetwork,
     compile_network,
-    forward,
     forward_grid,
     load_model,
     save_model,
@@ -48,8 +46,6 @@ from .oracle import (
     KernelKind,
     PiecewiseOracle,
     dense_solve_coupling,
-    eval_kernel,
-    eval_oracle,
     eval_oracle_grid,
     eval_tensor_product,
     fit_kernel_weights,

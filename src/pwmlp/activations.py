@@ -1,4 +1,4 @@
-"""Scalar activation functions used by the constructed networks.
+"""Activation functions used by the constructed networks.
 
 Four activations are provided: the unit step, the ReLU, the unit ramp
 (a ReLU saturated at one), and a monotone unit cubic that rises from 0
@@ -7,7 +7,6 @@ coefficients are pinned down by that shape except for one degree of
 freedom, the slope at the inflection point.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -95,37 +94,12 @@ class Activation:
         return self.cubic_coeffs[1]
 
 
-def eval_activation(act, x):
-    """Evaluate a single activation at a scalar x.
+def activation_values(act, z):
+    """The activation over an array z, as a new float64 array.
 
     step(x) is 1 for x >= 0 (closed at zero), relu(x) = max(0, x),
     ramp(x) = clamp(x, 0, 1), and the cubic is 0 below -1, 1 above 1,
-    and the polynomial in between.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("non-finite activation input %r" % (x,))
-    if act.kind == STEP:
-        return 1.0 if x >= 0.0 else 0.0
-    if act.kind == RELU:
-        return x if x > 0.0 else 0.0
-    if act.kind == RAMP:
-        if x < 0.0:
-            return 0.0
-        return x if x < 1.0 else 1.0
-    a0, a1, a2, a3 = act.cubic_coeffs
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return ((a3 * x + a2) * x + a1) * x + a0
-
-
-def activation_values(act, z):
-    """Vectorized activation over a float64 array.
-
-    Uses the same arithmetic (Horner form for the cubic) as
-    eval_activation so scalar and array paths agree bit for bit.
+    and the polynomial in Horner form in between.
     """
     return activate(act, np.asarray(z, dtype=np.float64))
 

@@ -35,7 +35,6 @@ from .activations import (
     Activation,
     activate,
     activation_values,
-    eval_activation,
 )
 from .errors import DomainError, FormatError, NumericalError, UsageError, require_int
 
@@ -251,9 +250,9 @@ def forward_grid(net, grid):
     bit for bit.  Memory stays O(_TILE) beyond the parameters, the grid
     and the result, whatever the grid and the width.
 
-    Row i equals forward(net, grid[i]) bit for bit: the scalar entry
-    point delegates here, and every lane of the vectorized arithmetic is
-    an independent IEEE double operation.
+    Row i equals forward_grid(net, grid[i:i + 1]) bit for bit: every
+    lane of the vectorized arithmetic is an independent IEEE double
+    operation, so no point's row depends on the others in its call.
 
     Raises NumericalError, naming the first such x, when an output is
     not finite (an overflow of the network's own arithmetic).
@@ -294,15 +293,6 @@ def forward_grid(net, grid):
                     _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
             np.add(total, comp, out=out[:, i:i + rows])
     return _finite_outputs(xs, out.reshape(q, -1)[:, :xs.size].T)
-
-
-def forward(net, x):
-    """Evaluate the network at a scalar x; returns a list of q floats."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("non-finite evaluation point %r" % (x,))
-    row = forward_grid(net, np.array([x], dtype=np.float64))[0]
-    return [float(v) for v in row]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,10 +423,12 @@ def compile_network(net):
 
     flat = w == 0.0
     if flat.any():
-        const = [eval_activation(acts[g], v)
-                 for g, v in zip(group[flat], b[flat])]
-        add(np.full(len(const), -np.inf),
-            np.array(const)[:, None] * taps[flat], np.zeros((len(const), q)))
+        bias, which = b[flat], group[flat]
+        const = np.empty(bias.size)
+        for g, act in enumerate(acts):
+            const[which == g] = activate(act, bias[which == g])
+        add(np.full(const.size, -np.inf), const[:, None] * taps[flat],
+            np.zeros((const.size, q)))
 
     # step, ramp and cubic units saturate at 1 on the side of large z.
     sat = ~flat & (kind != code[RELU])

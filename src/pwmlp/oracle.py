@@ -3,9 +3,9 @@
 A model is a kernel sum sum_j c_j K(h^-1 (x - x_j)) with box, triangle
 or cubic bump kernels on every stride-th knot: the ground truth the
 constructed networks are checked against.  One locality
-window of kernel rows and weights serves every evaluation (the grid
-path, a single point, and each axis of the tensor-product sum, whose
-p = 1 case is the grid path bit for bit) and the least-squares kernel
+window of kernel rows and weights serves every evaluation
+(eval_oracle_grid, and each axis of the tensor-product sum, whose p = 1
+case is eval_oracle_grid bit for bit) and the least-squares kernel
 fit.  The stride-1 bump weights solve the coupling system in its sine
 eigenbasis (O(N log N), refined to about eps * |g|), which shares no
 solver with the construction side's closed form; only the refinement
@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activations import DEFAULT_SLOPE, Activation, activation_values, eval_activation
+from .activations import DEFAULT_SLOPE, Activation, activation_values
 from .errors import DomainError, NumericalError, UsageError, require_int
 from .grids import KnotGrid
 
@@ -80,26 +80,14 @@ class KernelKind:
         return KernelKind(CUBIC_BUMP, float(slope))
 
 
-def eval_kernel(kernel, u):
-    """Evaluate a kernel at the normalized coordinate u = (x - x_j) / h.
+def kernel_values(kernel, u):
+    """A kernel over an array of normalized coordinates
+    u = (x - x_j) / h, as a new float64 array.
 
     Box: 1 on [0, 1), else 0.  Triangle: u+1 on [-1, 0], 1-u on [0, 1],
     else 0.  Cubic bump: q(u+1) + q(1-u) - 1, two opposed unit cubics
     minus the unit shift; support [-2, 2], value 1 at 0 and 0.5 at +-1.
     """
-    u = float(u)
-    if kernel.kind == BOX:
-        return 1.0 if 0.0 <= u < 1.0 else 0.0
-    if kernel.kind == TRIANGLE:
-        if u < -1.0 or u > 1.0:
-            return 0.0
-        return u + 1.0 if u <= 0.0 else 1.0 - u
-    act = Activation.cubic(kernel.slope)
-    return eval_activation(act, u + 1.0) + eval_activation(act, 1.0 - u) - 1.0
-
-
-def kernel_values(kernel, u):
-    """Vectorized eval_kernel over a float64 array (same arithmetic)."""
     u = np.asarray(u, dtype=np.float64)
     if kernel.kind == BOX:
         return np.where((u >= 0.0) & (u < 1.0), 1.0, 0.0)
@@ -230,14 +218,6 @@ def _window(model, xs):
         yield rows, kernel_values(model.kernel, u) * valid
 
 
-def eval_oracle(model, x):
-    """Evaluate the kernel sum at a scalar x in [0, 1]; returns length-q array."""
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError("oracle evaluation point %r outside [0, 1]" % (x,))
-    return eval_oracle_grid(model, np.array([x]))[0]
-
-
 def eval_oracle_grid(model, grid):
     """Evaluate the kernel sum over a 1-D grid; returns (len(grid), q)."""
     xs = np.asarray(grid, dtype=np.float64)
@@ -258,7 +238,8 @@ def eval_tensor_product(models, corner_values, point):
     models supply one axis each (shared kernel kind); corner_values is a
     p-dimensional array indexed by per-axis kernel rows.  For p = 1 this
     reduces to eval_oracle_grid bit for bit (same window, same
-    accumulation order).
+    accumulation order).  A coordinate or corner value that is not a
+    number, or a corner value that is not finite, is a UsageError.
     """
     if len(models) < 1:
         raise UsageError("tensor product needs at least one axis")
@@ -267,17 +248,23 @@ def eval_tensor_product(models, corner_values, point):
     kinds = {m.kernel.kind for m in models}
     if len(kinds) != 1:
         raise UsageError("tensor product axes must share one kernel kind")
-    point = [float(c) for c in point]
+    try:
+        point = [float(c) for c in point]
+        corner = np.asarray(corner_values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UsageError("tensor point and corner values must be numbers: %s"
+                         % (exc,)) from None
     if len(point) != len(models):
         raise UsageError(
             "point has %d coordinates for %d axes" % (len(point), len(models))
         )
-    corner = np.asarray(corner_values, dtype=np.float64)
     expected = tuple(m.coefficients.shape[0] for m in models)
     if corner.shape != expected:
         raise UsageError(
             "corner values shaped %r, expected %r" % (corner.shape, expected)
         )
+    if not np.all(np.isfinite(corner)):
+        raise UsageError("corner values must be finite")
     for c in point:
         if not (0.0 <= c <= 1.0):
             raise DomainError("tensor point coordinate %r outside [0, 1]" % (c,))

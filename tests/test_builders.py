@@ -17,7 +17,6 @@ from pwmlp import (
     TargetSamples,
     UsageError,
     build_network,
-    forward,
     forward_grid,
     matching_oracle,
     solve_bump_coupling,
@@ -119,9 +118,8 @@ def test_constant_builder_hand_case():
     # interval closed at 1
     grid = KnotGrid.uniform(2)
     net = build_network("constant", TargetSamples(grid, grid.knots.copy()))
-    got = [forward(net, x)[0] for x in (0.25, 0.5, 0.75, 1.0)]
-    assert got == [0.0, 0.5, 0.5, 0.5]
-    assert forward(net, 0.0)[0] == 0.0
+    got = forward_grid(net, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert got[:, 0].tolist() == [0.0, 0.0, 0.5, 0.5, 0.5]
 
 
 def _bits(values):

@@ -93,6 +93,16 @@ def test_readme_model_example_is_what_build_writes(tmp_path, capsys):
     assert code == 0 and out.read_text() == example
 
 
+def test_readme_quickstart_runs(capsys):
+    # the quickstart names only functions the package exports
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = r"\n## Library quickstart\n.*?\n```python\n(.*?)```\n"
+    quickstart = re.search(block, readme, re.S).group(1)
+    exec(compile(quickstart, "README.md quickstart", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and abs(float(printed[0]) - 1.99) < 0.01
+
+
 def test_build_requires_exactly_one_target_source(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, _, err = run(capsys, "build", "--method", "constant", "--n", "4",

@@ -24,7 +24,6 @@ from pwmlp import (
     build_network,
     compile_network,
     eval_oracle_grid,
-    forward,
     forward_grid,
     load_model,
     matching_oracle,
@@ -86,12 +85,15 @@ def _forward_grid_loop(net, grid):
 
 
 def test_forward_delegates_to_forward_grid_bitwise():
+    # a point's row does not depend on its batch: one point alone takes
+    # one lane, an even batch two, and an odd batch pads its last pair
     rng = np.random.default_rng(19)
     net = _random_network(rng)
-    xs = rng.uniform(0.0, 1.0, 64)
-    grid_rows = forward_grid(net, xs)
-    for i, x in enumerate(xs):
-        assert forward(net, x) == [float(v) for v in grid_rows[i]]
+    xs = rng.uniform(0.0, 1.0, 65)
+    alone = np.concatenate([forward_grid(net, xs[i:i + 1])
+                            for i in range(xs.size)])
+    for count in (65, 64, 3):
+        assert forward_grid(net, xs[:count]).tobytes() == alone[:count].tobytes()
 
 
 def test_forward_grid_shape_and_validation():
@@ -106,7 +108,7 @@ def test_forward_grid_shape_and_validation():
     with pytest.raises(DomainError):
         forward_grid(net, np.array([0.5, np.nan]))
     with pytest.raises(DomainError):
-        forward(net, float("inf"))
+        forward_grid(net, np.array([np.inf]))
     compiled = compile_network(net)
     assert compiled.eval(np.linspace(0.0, 1.0, 11)).shape == (11, 3)
     for bad, error in (
@@ -425,7 +427,7 @@ def test_forward_grid_raises_on_non_finite_output():
         with pytest.raises(NumericalError, match="x=0.25"):
             forward_grid(net, np.array([-1.0, 0.25, 0.5]))
         with pytest.raises(NumericalError):
-            forward(net, 0.5)
+            forward_grid(net, np.array([0.5]))
         # w*x overflows inside a step unit, whose output stays finite
         ok = _network([step], [((2.0,), 0.5)])
         assert forward_grid(ok, np.array([-1e6, 1e6])).tolist() == [[0.5], [2.5]]
@@ -485,14 +487,29 @@ def test_compiled_steps_switch_where_forward_grid_does(n):
 
 def test_compiled_form_of_flat_units_has_no_break():
     # units with w = 0 are constants: one piece, anchored at 0.0
-    net = _network([(0.0, 0.4, Activation.ramp()),
-                    (0.0, 1.5, Activation.relu()),
-                    (0.0, 0.25, Activation.cubic(0.6))],
-                   [((1.0, -2.0, 3.0), 0.5), ((0.5, 0.25, -1.0), 0.0)])
-    compiled = compile_network(net)
-    assert compiled.breaks.tolist() == [] and compiled.anchors.tolist() == [0.0]
+    step, cubic = Activation.step(), Activation.cubic()
+    rng = np.random.default_rng(41)
+    nets = [
+        _network([(0.0, 0.4, Activation.ramp()),
+                  (0.0, 1.5, Activation.relu()),
+                  (0.0, 0.25, Activation.cubic(0.6))],
+                 [((1.0, -2.0, 3.0), 0.5), ((0.5, 0.25, -1.0), 0.0)]),
+        # the step is closed at zero, so -0.0 switches it on as 0.0 does
+        _network([(0.0, b, step) for b in (0.0, -0.0, -1.0)],
+                 [((1.0, 2.0, 4.0), 0.0)]),
+        # both plateaus of the cubic and its middle, beside a step
+        _network([(0.0, b, cubic) for b in (-3.0, -1.0, -0.3, 0.0, 1.0, 2.0)]
+                 + [(0.0, 0.5, step), (0.0, -0.5, step)],
+                 [(rng.uniform(-3.0, 3.0, 8), -0.25),
+                  (rng.uniform(-3.0, 3.0, 8), 0.0)]),
+    ]
     xs = np.linspace(-2.0, 2.0, 101)
-    assert compiled.eval(xs).tobytes() == forward_grid(net, xs).tobytes()
+    for net in nets:
+        compiled = compile_network(net)
+        assert compiled.breaks.tolist() == []
+        assert compiled.anchors.tolist() == [0.0]
+        assert compiled.eval(xs).tobytes() == forward_grid(net, xs).tobytes()
+    assert compile_network(nets[1]).eval(xs)[:, 0].tolist() == [3.0] * 101
 
 
 def test_compiled_form_is_read_only():

@@ -15,8 +15,6 @@ from pwmlp import (
     TargetSamples,
     UsageError,
     dense_solve_coupling,
-    eval_kernel,
-    eval_oracle,
     eval_oracle_grid,
     eval_tensor_product,
     fit_kernel_weights,
@@ -42,48 +40,30 @@ def test_kernel_kind_validation():
         KernelKind.cubic_bump(0.9)
 
 
+def _kernel(kernel, us):
+    return kernel_values(kernel, np.array(us, dtype=np.float64)).tolist()
+
+
 def test_box_kernel_half_open():
     box = KernelKind.box()
-    assert eval_kernel(box, 0.0) == 1.0
-    assert eval_kernel(box, 0.999999) == 1.0
-    assert eval_kernel(box, 1.0) == 0.0
-    assert eval_kernel(box, -1e-16) == 0.0
+    assert _kernel(box, [0.0, 0.999999, 1.0, -1e-16]) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_triangle_kernel_values():
     tri = KernelKind.triangle()
-    assert eval_kernel(tri, -1.0) == 0.0
-    assert eval_kernel(tri, 0.0) == 1.0
-    assert eval_kernel(tri, 1.0) == 0.0
-    assert eval_kernel(tri, -0.5) == 0.5
-    assert eval_kernel(tri, 0.5) == 0.5
-    assert eval_kernel(tri, 1.5) == 0.0
+    assert (_kernel(tri, [-1.0, 0.0, 1.0, -0.5, 0.5, 1.5])
+            == [0.0, 1.0, 0.0, 0.5, 0.5, 0.0])
 
 
 def test_bump_kernel_values_and_symmetry():
     bump = KernelKind.cubic_bump()
-    assert eval_kernel(bump, 0.0) == 1.0
-    assert eval_kernel(bump, 1.0) == 0.5
-    assert eval_kernel(bump, -1.0) == 0.5
-    assert eval_kernel(bump, 2.0) == 0.0
-    assert eval_kernel(bump, -2.0) == 0.0
+    assert _kernel(bump, [0.0, 1.0, -1.0, 2.0, -2.0]) == [1.0, 0.5, 0.5, 0.0, 0.0]
     rng = np.random.default_rng(53)
     us = rng.uniform(-2.5, 2.5, 500)
     for s in (0.0, 0.375, 0.75):
         k = KernelKind.cubic_bump(s)
         resid = kernel_values(k, us) - kernel_values(k, -us)
         assert np.max(np.abs(resid)) <= 1e-14
-
-
-def test_kernel_values_match_scalar():
-    rng = np.random.default_rng(59)
-    us = np.concatenate([rng.uniform(-3.0, 3.0, 300),
-                         [-2.0, -1.0, 0.0, 1.0, 2.0]])
-    for kernel in (KernelKind.box(), KernelKind.triangle(),
-                   KernelKind.cubic_bump(), KernelKind.cubic_bump(0.25)):
-        vec = kernel_values(kernel, us)
-        sca = np.array([eval_kernel(kernel, u) for u in us])
-        assert np.array_equal(vec, sca)
 
 
 def test_reproduction_degree_of_box_and_triangle():
@@ -150,10 +130,9 @@ def test_oracle_coefficient_validation():
 def test_oracle_domain():
     grid = KnotGrid.uniform(4)
     model = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(5))
-    with pytest.raises(DomainError):
-        eval_oracle(model, -0.01)
-    with pytest.raises(DomainError):
-        eval_oracle(model, 1.01)
+    for bad in (-0.01, 1.01, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            eval_oracle_grid(model, np.array([bad]))
     with pytest.raises(DomainError):
         eval_oracle_grid(model, np.array([0.5, 1.5]))
     with pytest.raises(UsageError):
@@ -250,19 +229,18 @@ def test_grid_evaluation_matches_scalar():
                                  [0.0, 1.0]]))
     for model in _random_models(rng, 8):
         grid_out = eval_oracle_grid(model, xs)
-        scalar_out = np.stack([eval_oracle(model, x) for x in xs])
+        one_point = np.concatenate([eval_oracle_grid(model, xs[i:i + 1])
+                                    for i in range(xs.size)])
         # bytes, not ==, so that -0.0 and +0.0 differ
-        assert grid_out.tobytes() == scalar_out.tobytes()
+        assert grid_out.tobytes() == one_point.tobytes()
 
 
 def test_box_model_closed_at_right_endpoint():
     grid = KnotGrid.uniform(4)
     c = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     model = PiecewiseOracle(grid, KernelKind.box(), c)
-    assert eval_oracle(model, 1.0)[0] == 40.0
-    assert eval_oracle(model, 0.75)[0] == 40.0
-    assert eval_oracle(model, 0.999)[0] == 40.0
-    assert eval_oracle(model, 0.0)[0] == 10.0
+    got = eval_oracle_grid(model, np.array([1.0, 0.75, 0.999, 0.0]))
+    assert got[:, 0].tolist() == [40.0, 40.0, 40.0, 10.0]
 
 
 def test_box_model_exact_at_awkward_knots():
@@ -274,7 +252,7 @@ def test_box_model_exact_at_awkward_knots():
     c = np.arange(n + 1, dtype=np.float64)
     model = PiecewiseOracle(grid, KernelKind.box(), c)
     for j in range(n):
-        assert eval_oracle(model, grid.knots[j])[0] == c[j]
+        assert eval_oracle_grid(model, grid.knots[j:j + 1])[0, 0] == c[j]
     got = eval_oracle_grid(model, grid.knots[:-1])[:, 0]
     assert np.array_equal(got, c[:-1])
 
@@ -285,10 +263,11 @@ def test_tensor_product_reduces_to_eval_oracle_bitwise():
         single = PiecewiseOracle(model.grid, model.kernel,
                                  model.coefficients[:, 0],
                                  model.stride)
-        for x in rng.uniform(0.0, 1.0, 100):
-            got = eval_tensor_product([single], single.coefficients[:, 0],
-                                      [x])
-            assert got == eval_oracle(single, x)[0]
+        xs = rng.uniform(0.0, 1.0, 100)
+        want = eval_oracle_grid(single, xs)[:, 0]
+        got = [eval_tensor_product([single], single.coefficients[:, 0], [x])
+               for x in xs]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_tensor_product_bilinear_exact():
@@ -320,6 +299,28 @@ def test_tensor_product_validation():
         eval_tensor_product([tri, tri], np.ones((4, 5)), [0.5, 0.5])
     with pytest.raises(DomainError):
         eval_tensor_product([tri, tri], corner, [0.5, 1.5])
+
+
+def test_tensor_product_refuses_non_finite_corner_values():
+    grid = KnotGrid.uniform(3)
+    tri = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
+    for bad in (np.nan, np.inf):
+        corner = np.ones((4, 4))
+        # outside the point's window, and refused all the same
+        corner[3, 3] = bad
+        with pytest.raises(UsageError, match="corner values must be finite"):
+            eval_tensor_product([tri, tri], corner, [0.1, 0.1])
+
+
+def test_tensor_product_refuses_non_numeric_input():
+    grid = KnotGrid.uniform(3)
+    tri = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
+    corner = np.ones((4, 4))
+    for point in (["a", 0.5], [None, 0.5], 0.5):
+        with pytest.raises(UsageError, match="must be numbers"):
+            eval_tensor_product([tri, tri], corner, point)
+    with pytest.raises(UsageError, match="must be numbers"):
+        eval_tensor_product([tri], ["a", 1.0, 1.0, 1.0], [0.5])
 
 
 def test_dense_coupling_matches_closed_form():
