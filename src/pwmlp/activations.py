@@ -7,7 +7,7 @@ coefficients are pinned down by that shape except for one degree of
 freedom, the slope at the inflection point.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -33,14 +33,19 @@ def solve_cubic_coefficients(inflection_slope):
     endpoint values q(-1) = 0, q(1) = 1 then force a1 + a3 = 0.5.  The one
     remaining degree of freedom is the inflection slope a1 = q'(0).
     Monotonicity on [-1, 1] needs q'(x) = 3 a3 x^2 + a1 >= 0 at both x = 0
-    and x = +-1, which confines a1 to [0, 0.75].
+    and x = +-1, which confines a1 to [0, 0.75].  A slope that is not an
+    int, a float or a numpy real (a bool is none of these) is a
+    DomainError too.
     """
-    s = float(inflection_slope)
+    s = inflection_slope
+    if isinstance(s, bool) or not isinstance(s, (int, float, np.integer,
+                                                 np.floating)):
+        raise DomainError("cubic inflection slope must be a real number, "
+                          "got %r" % (s,))
     if not (0.0 <= s <= 0.75):
         raise DomainError(
-            "non-monotone cubic: inflection slope %r outside [0, 0.75]"
-            % (inflection_slope,)
-        )
+            "non-monotone cubic: inflection slope %r outside [0, 0.75]" % (s,))
+    s = float(s)
     return (0.5, s, 0.0, 0.5 - s)
 
 
@@ -48,50 +53,32 @@ def solve_cubic_coefficients(inflection_slope):
 class Activation:
     """Tagged activation: one of step/relu/ramp/cubic.
 
-    ``cubic_coeffs`` holds (a0, a1, a2, a3) and is present exactly when
-    kind is cubic.  It must equal solve_cubic_coefficients(a1), the tuple
-    stored: a model file keeps only a1.
+    a1, the cubic's inflection slope, is present exactly when kind is
+    cubic, and is stored as a float (-0.0 kept).  cubic_coeffs, the
+    tuple solve_cubic_coefficients(a1), is derived from it once, and is
+    None for the other kinds.
     """
 
     kind: str
-    cubic_coeffs: Optional[Tuple[float, float, float, float]] = None
+    a1: Optional[float] = None
+    cubic_coeffs: Optional[Tuple[float, float, float, float]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError("unknown activation kind %r" % (self.kind,))
         if self.kind == CUBIC:
-            if self.cubic_coeffs is None or len(self.cubic_coeffs) != 4:
-                raise DomainError("cubic activation requires (a0, a1, a2, a3)")
-            coeffs = solve_cubic_coefficients(self.cubic_coeffs[1])
-            if tuple(self.cubic_coeffs) != coeffs:
-                raise DomainError("cubic coefficients %r are not %r"
-                                  % (self.cubic_coeffs, coeffs))
+            if self.a1 is None:
+                raise DomainError("cubic activation requires its slope a1")
+            coeffs = solve_cubic_coefficients(self.a1)
+            object.__setattr__(self, "a1", coeffs[1])
             object.__setattr__(self, "cubic_coeffs", coeffs)
-        elif self.cubic_coeffs is not None:
-            raise DomainError("coefficients only apply to the cubic kind")
-
-    @staticmethod
-    def step():
-        return Activation(STEP)
-
-    @staticmethod
-    def relu():
-        return Activation(RELU)
-
-    @staticmethod
-    def ramp():
-        return Activation(RAMP)
+        elif self.a1 is not None:
+            raise DomainError("a1 only applies to the cubic kind")
 
     @staticmethod
     def cubic(inflection_slope=DEFAULT_SLOPE):
-        return Activation(CUBIC, solve_cubic_coefficients(inflection_slope))
-
-    @property
-    def a1(self):
-        """Inflection slope of the cubic; None for the other kinds."""
-        if self.kind != CUBIC:
-            return None
-        return self.cubic_coeffs[1]
+        return Activation(CUBIC, inflection_slope)
 
 
 def activation_values(act, z):

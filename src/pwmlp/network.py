@@ -135,7 +135,11 @@ def _finite_outputs(xs, out):
 
 def _evaluation_grid(grid):
     """The points of a 1-D evaluation grid as float64, validated."""
-    xs = np.asarray(grid, dtype=np.float64)
+    try:
+        xs = np.asarray(grid, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UsageError("evaluation points must be numbers: %s"
+                         % (exc,)) from None
     if xs.ndim != 1:
         raise UsageError("evaluation grid must be one-dimensional")
     if xs.size == 0:

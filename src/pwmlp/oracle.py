@@ -2,11 +2,11 @@
 
 A model is a kernel sum sum_j c_j K(h^-1 (x - x_j)) with box, triangle
 or cubic bump kernels on every stride-th knot: the ground truth the
-constructed networks are checked against.  One locality
-window of kernel rows and weights serves every evaluation
-(eval_oracle_grid, and each axis of the tensor-product sum, whose p = 1
-case is eval_oracle_grid bit for bit) and the least-squares kernel
-fit.  The stride-1 bump weights solve the coupling system in its sine
+constructed networks are checked against.  One locality window of
+kernel rows and weights serves every evaluation (eval_oracle_grid,
+which the tensor-product sum applies axis by axis, so its p = 1 case is
+eval_oracle_grid itself) and the least-squares kernel fit.  The
+stride-1 bump weights solve the coupling system in its sine
 eigenbasis (O(N log N), refined to about eps * |g|), which shares no
 solver with the construction side's closed form; only the refinement
 of both, with its residual and its power-of-two scaling, is common.  A
@@ -15,7 +15,6 @@ cross-check at small sizes, and a moment audit of the polynomial degree
 each kernel's shifts reproduce.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,22 +61,13 @@ class KernelKind:
         if self.kind == CUBIC_BUMP:
             if self.slope is None:
                 raise UsageError("cubic bump kernel needs an inflection slope")
-            # validates the range
-            Activation.cubic(self.slope)
+            object.__setattr__(self, "slope", Activation.cubic(self.slope).a1)
         elif self.slope is not None:
             raise UsageError("slope only applies to the cubic bump kernel")
 
     @staticmethod
-    def box():
-        return KernelKind(BOX)
-
-    @staticmethod
-    def triangle():
-        return KernelKind(TRIANGLE)
-
-    @staticmethod
     def cubic_bump(slope=DEFAULT_SLOPE):
-        return KernelKind(CUBIC_BUMP, float(slope))
+        return KernelKind(CUBIC_BUMP, slope)
 
 
 def kernel_values(kernel, u):
@@ -220,7 +210,11 @@ def _window(model, xs):
 
 def eval_oracle_grid(model, grid):
     """Evaluate the kernel sum over a 1-D grid; returns (len(grid), q)."""
-    xs = np.asarray(grid, dtype=np.float64)
+    try:
+        xs = np.asarray(grid, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UsageError("evaluation points must be numbers: %s"
+                         % (exc,)) from None
     if xs.ndim != 1 or xs.size == 0:
         raise UsageError("evaluation grid must be a nonempty 1-D array")
     if not np.all(np.isfinite(xs)) or xs.min() < 0.0 or xs.max() > 1.0:
@@ -236,10 +230,12 @@ def eval_tensor_product(models, corner_values, point):
     """Tensor-product kernel sum over a p-dimensional grid.
 
     models supply one axis each (shared kernel kind); corner_values is a
-    p-dimensional array indexed by per-axis kernel rows.  For p = 1 this
-    reduces to eval_oracle_grid bit for bit (same window, same
-    accumulation order).  A coordinate or corner value that is not a
-    number, or a corner value that is not finite, is a UsageError.
+    p-dimensional array indexed by per-axis kernel rows.  The axes are
+    contracted in order, each by eval_oracle_grid at its coordinate over
+    the model whose columns are the remaining axes, so p = 1 is
+    eval_oracle_grid itself.  A coordinate or corner value that is not a
+    number, or a corner value that is not finite, is a UsageError, and a
+    coordinate outside [0, 1] a DomainError.
     """
     if len(models) < 1:
         raise UsageError("tensor product needs at least one axis")
@@ -265,21 +261,12 @@ def eval_tensor_product(models, corner_values, point):
         )
     if not np.all(np.isfinite(corner)):
         raise UsageError("corner values must be finite")
-    for c in point:
-        if not (0.0 <= c <= 1.0):
-            raise DomainError("tensor point coordinate %r outside [0, 1]" % (c,))
-
-    axis_terms = [[(int(r[0]), float(w[0])) for r, w in _window(m, np.array([c]))]
-                  for m, c in zip(models, point)]
-    s = 0.0
-    # lexicographic walk over the window, last axis fastest; for p = 1
-    # this is exactly the eval_oracle_grid accumulation (1.0 * w == w)
-    for combo in itertools.product(*axis_terms):
-        w = 1.0
-        for _, wd in combo:
-            w = w * wd
-        s = s + corner[tuple(j for j, _ in combo)] * w
-    return s
+    values = corner
+    for m, c in zip(models, point):
+        rows = values.reshape(m.coefficients.shape[0], -1)
+        values = eval_oracle_grid(
+            PiecewiseOracle(m.grid, m.kernel, rows, m.stride), [c])
+    return values[0, 0]
 
 
 def _two_sum(a, b):

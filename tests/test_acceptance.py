@@ -220,7 +220,7 @@ def test_criterion_05_activation_properties(report):
     n = 16
     grid = KnotGrid.uniform(n)
     xs = np.linspace(0.0, 1.0, 1001)
-    tri = KernelKind.triangle()
+    tri = KernelKind("triangle")
     unity = np.zeros_like(xs)
     for j in range(n + 1):
         unity += kernel_values(tri, (xs - grid.knots[j]) * float(n))
@@ -268,11 +268,11 @@ def test_criterion_07_kernel_fit_recovery(report):
     n = 16
     grid = KnotGrid.uniform(n)
     coeffs = rng.uniform(-2.0, 2.0, n + 1)
-    model = PiecewiseOracle(grid, KernelKind.triangle(), coeffs)
+    model = PiecewiseOracle(grid, KernelKind("triangle"), coeffs)
     xs = np.linspace(0.0, 1.0, 512)
     ys = eval_oracle_grid(model, xs)[:, 0]
     fit = fit_kernel_weights(np.column_stack([xs, ys]),
-                             KernelKind.triangle(), grid)
+                             KernelKind("triangle"), grid)
     coeff_dev = float(np.max(np.abs(fit.omega - coeffs)))
     ok = coeff_dev <= 1e-8 and fit.rms_residual <= 1e-10
     report("%s criterion 7: 512-sample triangle fit, coefficient "
@@ -284,7 +284,7 @@ def test_criterion_07_kernel_fit_recovery(report):
 
 def test_criterion_08_tensor_product_oracle(report):
     grid = KnotGrid.uniform(3)
-    axis = PiecewiseOracle(grid, KernelKind.triangle(), grid.knots.copy())
+    axis = PiecewiseOracle(grid, KernelKind("triangle"), grid.knots.copy())
     corner = grid.knots[:, None] + 2.0 * grid.knots[None, :]
     rng = np.random.default_rng(109)
     bilinear_dev = 0.0
@@ -293,7 +293,7 @@ def test_criterion_08_tensor_product_oracle(report):
         got = eval_tensor_product([axis, axis], corner, [x, y])
         bilinear_dev = max(bilinear_dev, abs(got - (x + 2.0 * y)))
 
-    single = PiecewiseOracle(grid, KernelKind.triangle(),
+    single = PiecewiseOracle(grid, KernelKind("triangle"),
                              rng.uniform(-1.0, 1.0, 4))
     xs = rng.uniform(0.0, 1.0, 500)
     reference = eval_oracle_grid(single, xs)[:, 0]

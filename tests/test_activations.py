@@ -1,5 +1,6 @@
 """Unit tests for the activations and the cubic coefficient solve."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from pwmlp import (
     Activation,
     DomainError,
+    KernelKind,
+    KnotGrid,
+    TargetSamples,
+    UsageError,
     activation_values,
+    build_network,
+    matching_oracle,
     solve_cubic_coefficients,
 )
 
@@ -42,48 +49,55 @@ def test_activation_kind_validation():
     with pytest.raises(DomainError):
         Activation("sigmoid")
     with pytest.raises(DomainError):
-        Activation("relu", cubic_coeffs=(0.5, 0.75, 0.0, -0.25))
+        Activation("relu", 0.75)
+    with pytest.raises(DomainError):
+        Activation("relu", 0.0)
     with pytest.raises(DomainError):
         Activation("cubic")
     with pytest.raises(DomainError):
-        Activation("cubic", cubic_coeffs=(0.4, 0.75, 0.0, -0.25))
-    with pytest.raises(DomainError):
-        Activation("cubic", cubic_coeffs=(0.5, 0.9, 0.0, -0.4))
-
-
-def test_cubic_coefficients_must_be_the_canonical_tuple():
-    # A model file keeps only a1, so coefficients even one ulp off the
-    # canonical tuple would evaluate differently after a save and load.
-    canonical = solve_cubic_coefficients(0.75)
-    for i in (0, 2, 3):
-        for step in (-math.inf, math.inf):
-            near = list(canonical)
-            near[i] = math.nextafter(near[i], step)
-            with pytest.raises(DomainError):
-                Activation("cubic", tuple(near))
-    for near in ((0.5000000000000001, 0.75, 1e-16, -0.25),
-                 (0.5, 0.75, 1e-16, -0.25),
-                 (0.5, math.nextafter(0.75, 0.0), 0.0, -0.25),
-                 (0.5, 0.5, 0.0, 1e-17)):
-        with pytest.raises(DomainError):
-            Activation("cubic", near)
-    for length in (3, 5):
-        with pytest.raises(DomainError):
-            Activation("cubic", (canonical + (0.0,))[:length])
+        Activation("cubic", 0.9)
+    # the coefficients derive from a1 and cannot be given or set
+    with pytest.raises(TypeError):
+        Activation("cubic", 0.75, (0.5, 0.75, 0.0, -0.25))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Activation.cubic().cubic_coeffs = (0.5, 0.5, 0.0, 0.0)
 
 
 def test_cubic_stores_the_canonical_tuple():
-    # equal values of other types or signs are stored as the solve's
-    # tuple of floats, and a list as a tuple, so activations hash
-    for given in ([0.5, 0.75, 0.0, -0.25], (0.5, 0.75, -0.0, -0.25),
-                  (0.5, 0.75, 0, -0.25), np.array([0.5, 0.75, 0.0, -0.25])):
+    # a1 of another numeric type is stored as a float and the
+    # coefficients as the solve's tuple of floats, so activations hash
+    for given in (0.75, np.float64(0.75), np.float32(0.75)):
         act = Activation("cubic", given)
+        assert type(act.a1) is float and act.a1 == 0.75
         assert type(act.cubic_coeffs) is tuple
         assert [type(c) for c in act.cubic_coeffs] == [float] * 4
         assert repr(act.cubic_coeffs) == repr(solve_cubic_coefficients(0.75))
         assert act == Activation.cubic() and hash(act) == hash(Activation.cubic())
-    act = Activation("cubic", (0.5, -0.0, 0.0, 0.5))
+    for given in (0, np.int64(0)):
+        assert type(Activation("cubic", given).a1) is float
+    act = Activation("cubic", -0.0)
     assert math.copysign(1.0, act.a1) == -1.0
+    assert math.copysign(1.0, act.cubic_coeffs[1]) == -1.0
+    assert act == Activation.cubic(0.0) and hash(act) == hash(Activation.cubic(0.0))
+    assert Activation("relu").cubic_coeffs is None
+
+
+@pytest.mark.parametrize("bad", ["abc", None, 1 + 0j, [0.5], False, "0.5",
+                                 np.bool_(True)])
+def test_cubic_slope_must_be_a_real_number(bad):
+    samples = TargetSamples.from_function(KnotGrid.uniform(4), np.sin)
+    calls = [Activation.cubic, solve_cubic_coefficients,
+             lambda s: build_network("constant", samples, s),
+             lambda s: matching_oracle("cubic", samples, s)]
+    if bad is not None:
+        calls.append(KernelKind.cubic_bump)
+    else:
+        # no slope at all: the kernel's own refusal, as when it is left out
+        with pytest.raises(UsageError, match="needs an inflection slope"):
+            KernelKind.cubic_bump(None)
+    for call in calls:
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 def _values(act, xs):
@@ -91,18 +105,18 @@ def _values(act, xs):
 
 
 def test_step_closed_at_zero():
-    step = Activation.step()
+    step = Activation("step")
     assert _values(step, [0.0, -1e-300, 5.0, -5.0]) == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_relu_values():
-    relu = Activation.relu()
+    relu = Activation("relu")
     assert _values(relu, [-2.0, 0.0, 0.3, 7.5]) == [0.0, 0.0, 0.3, 7.5]
 
 
 def test_ramp_matches_relu_below_one_and_saturates():
-    ramp = Activation.ramp()
-    relu = Activation.relu()
+    ramp = Activation("ramp")
+    relu = Activation("relu")
     xs = np.linspace(-2.0, 1.0, 301)
     assert _values(ramp, xs) == _values(relu, xs)
     assert _values(ramp, [1.0, 43.0]) == [1.0, 1.0]
@@ -115,7 +129,7 @@ def test_cubic_plateaus_and_center():
 
 def test_cubic_a1_property():
     assert Activation.cubic(0.6).a1 == 0.6
-    assert Activation.relu().a1 is None
+    assert Activation("relu").a1 is None
 
 
 def test_cubic_anti_symmetry_random_slopes():

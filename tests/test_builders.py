@@ -132,7 +132,7 @@ def test_constant_builder_structure():
                        [4.0, 0.0]])
     net = build_network("constant", TargetSamples(grid, values))
     assert net.width == 4
-    assert net.acts == (Activation.step(),) and net.group.tolist() == [0] * 4
+    assert net.acts == (Activation("step"),) and net.group.tolist() == [0] * 4
     assert _bits(net.weight) == _bits([4.0] * 4)
     # the first bias is -(4 * 0.0) = -0.0, bit for bit
     assert _bits(net.bias) == _bits([-0.0, -1.0, -2.0, -3.0])
@@ -171,7 +171,7 @@ def test_builder_structure(method):
     assert _bits(net.bias) == _bits([b for _, b in units])
     assert _bits(net.taps) == _bits(np.array(taps)[:, None])
     assert _bits(net.tap_bias) == _bits([tap_bias])
-    kind = {"linear-relu": Activation.relu(), "linear-ramp": Activation.ramp(),
+    kind = {"linear-relu": Activation("relu"), "linear-ramp": Activation("ramp"),
             "cubic-spaced": Activation.cubic(0.25)}[method]
     assert net.acts == (kind,) and not net.group.any()
 

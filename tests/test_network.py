@@ -46,9 +46,9 @@ def _network(units, outputs):
 
 def _random_network(rng, width=12, q=2):
     kinds = [
-        Activation.step(),
-        Activation.relu(),
-        Activation.ramp(),
+        Activation("step"),
+        Activation("relu"),
+        Activation("ramp"),
         Activation.cubic(),
     ]
     units = [
@@ -121,6 +121,18 @@ def test_forward_grid_shape_and_validation():
             compiled.eval(bad)
 
 
+@pytest.mark.parametrize("bad", [["a"], [1 + 2j], [0.5, [0.5]]])
+def test_evaluation_points_must_be_numbers(bad):
+    samples = TargetSamples.from_function(KnotGrid.uniform(4), np.sin)
+    net = build_network("cubic", samples)
+    model = matching_oracle("cubic", samples)
+    for evaluate in (lambda xs: forward_grid(net, xs),
+                     compile_network(net).eval,
+                     lambda xs: eval_oracle_grid(model, xs)):
+        with pytest.raises(UsageError, match="must be numbers"):
+            evaluate(bad)
+
+
 def test_neuron_order_is_immaterial():
     # compensated accumulation keeps reordering error at rounding level
     rng = np.random.default_rng(31)
@@ -161,7 +173,7 @@ def test_tap_additivity():
 
 
 def test_network_validation():
-    relu = (Activation.relu(),)
+    relu = (Activation("relu"),)
 
     def make(weight=(1.0,), bias=(0.0,), acts=relu, group=(0,),
              taps=((1.0,),), tap_bias=(0.0,), method="constant", n=1):
@@ -203,7 +215,7 @@ def test_network_validation():
 def test_network_arrays_are_read_only_copies():
     weight = np.array([1.0, -2.0])
     taps = np.array([[1.0], [2.0]])
-    net = Network(weight, [0.5, 0.0], (Activation.step(), Activation.relu()),
+    net = Network(weight, [0.5, 0.0], (Activation("step"), Activation("relu")),
                   [1, 0], taps, [0.0], "constant", 1)
     weight[0] = 7.0
     taps[0, 0] = 7.0
@@ -229,7 +241,7 @@ def test_network_keeps_only_read_only_bytes_backed_arrays():
     data = np.array([1.0, -2.0, 0.5]).tobytes()
     kept = np.frombuffer(data, "<f8")
     group = np.frombuffer(bytes(24), "<i8")
-    net = Network(kept, kept, (Activation.relu(),), group, kept[:, None],
+    net = Network(kept, kept, (Activation("relu"),), group, kept[:, None],
                   kept[:1], "constant", 1)
     assert net.weight is kept and net.bias is kept and net.group is group
     assert np.shares_memory(net.taps, kept)
@@ -242,7 +254,7 @@ def test_network_keeps_only_read_only_bytes_backed_arrays():
     mutable.flags.writeable = False
     for values in (owned, view, mutable, np.frombuffer(data, ">f8"),
                    np.frombuffer(data, "<f8").astype(np.float32)):
-        copy = Network(values, kept, (Activation.relu(),), group,
+        copy = Network(values, kept, (Activation("relu"),), group,
                        kept[:, None], kept[:1], "constant", 1).weight
         assert not np.shares_memory(copy, values)
         assert copy.dtype == np.float64 and not _shares_writable_memory(copy)
@@ -282,9 +294,9 @@ def test_compiled_matches_dense_and_oracle(method, n):
 
 
 _KINDS = (
-    Activation.step(),
-    Activation.relu(),
-    Activation.ramp(),
+    Activation("step"),
+    Activation("relu"),
+    Activation("ramp"),
     Activation.cubic(0.0),
     Activation.cubic(0.5),
     Activation.cubic(0.75),
@@ -419,8 +431,8 @@ def test_forward_grid_memory_stays_within_tiles():
 
 
 def test_forward_grid_raises_on_non_finite_output():
-    relu = (1e300, 0.0, Activation.relu())
-    step = (1e300, 0.0, Activation.step())
+    relu = (1e300, 0.0, Activation("relu"))
+    step = (1e300, 0.0, Activation("step"))
     net = _network([relu, step], [((1e300, 1.0), 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -436,7 +448,7 @@ def test_forward_grid_raises_on_non_finite_output():
 def test_compiled_form_raises_on_non_finite_coefficients():
     # slope 1e300 * 1e300: the compiled form cannot hold it, and the
     # network overflows for x > 0 as well
-    net = _network([(1e300, 0.0, Activation.relu())], [((1e300,), 0.0)])
+    net = _network([(1e300, 0.0, Activation("relu"))], [((1e300,), 0.0)])
     samples = TargetSamples(KnotGrid.uniform(1), np.array([0.0, 1.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -449,7 +461,7 @@ def test_compiled_form_raises_on_non_finite_coefficients():
 
 def test_compiled_eval_raises_on_non_finite_output():
     # finite coefficients (slope 1e300) whose value overflows at x = 1e10
-    net = _network([(1e200, 0.0, Activation.relu())], [((1e100,), 0.0)])
+    net = _network([(1e200, 0.0, Activation("relu"))], [((1e100,), 0.0)])
     xs = np.array([-1.0, 0.5, 1e10, 2e10])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -487,11 +499,11 @@ def test_compiled_steps_switch_where_forward_grid_does(n):
 
 def test_compiled_form_of_flat_units_has_no_break():
     # units with w = 0 are constants: one piece, anchored at 0.0
-    step, cubic = Activation.step(), Activation.cubic()
+    step, cubic = Activation("step"), Activation.cubic()
     rng = np.random.default_rng(41)
     nets = [
-        _network([(0.0, 0.4, Activation.ramp()),
-                  (0.0, 1.5, Activation.relu()),
+        _network([(0.0, 0.4, Activation("ramp")),
+                  (0.0, 1.5, Activation("relu")),
                   (0.0, 0.25, Activation.cubic(0.6))],
                  [((1.0, -2.0, 3.0), 0.5), ((0.5, 0.25, -1.0), 0.0)]),
         # the step is closed at zero, so -0.0 switches it on as 0.0 does

@@ -45,12 +45,12 @@ def _kernel(kernel, us):
 
 
 def test_box_kernel_half_open():
-    box = KernelKind.box()
+    box = KernelKind("box")
     assert _kernel(box, [0.0, 0.999999, 1.0, -1e-16]) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_triangle_kernel_values():
-    tri = KernelKind.triangle()
+    tri = KernelKind("triangle")
     assert (_kernel(tri, [-1.0, 0.0, 1.0, -0.5, 0.5, 1.5])
             == [0.0, 1.0, 0.0, 0.5, 0.5, 0.0])
 
@@ -69,10 +69,10 @@ def test_bump_kernel_values_and_symmetry():
 def test_reproduction_degree_of_box_and_triangle():
     # the box's shifts sum to one but their first moment is a sawtooth;
     # the triangle's shifts reproduce every affine function
-    assert reproduction_degree(KernelKind.box()) == 0
-    assert reproduction_degree(KernelKind.triangle()) == 1
+    assert reproduction_degree(KernelKind("box")) == 0
+    assert reproduction_degree(KernelKind("triangle")) == 1
     # at stride 2 half of [0, 2) is left uncovered by the unit box
-    assert reproduction_degree(KernelKind.box(), stride=2) == -1
+    assert reproduction_degree(KernelKind("box"), stride=2) == -1
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -87,8 +87,8 @@ def test_reproduction_degree_of_bump(stride):
 def test_reproduction_degree_needs_no_samples_beyond_the_support():
     # a stride above twice the support radius leaves gaps, so no shift
     # sum is constant; sampling 10**12 would need 64 * stride values
-    assert reproduction_degree(KernelKind.triangle(), 10**12) == -1
-    for kernel in (KernelKind.box(), KernelKind.triangle(),
+    assert reproduction_degree(KernelKind("triangle"), 10**12) == -1
+    for kernel in (KernelKind("box"), KernelKind("triangle"),
                    KernelKind.cubic_bump()):
         radius = oracle._SUPPORT_RADIUS[kernel.kind]
         for stride in range(1, 2 * radius + 4):
@@ -100,36 +100,36 @@ def test_reproduction_degree_validation():
     # a stride is never truncated: 1.5 would run at stride 1
     for stride in (0, -1, True, 1.5, "2"):
         with pytest.raises(UsageError, match="positive integer"):
-            reproduction_degree(KernelKind.triangle(), stride=stride)
+            reproduction_degree(KernelKind("triangle"), stride=stride)
     assert reproduction_degree(KernelKind.cubic_bump(0.5), np.int64(2)) == 1
 
 
 def test_oracle_coefficient_validation():
     grid = KnotGrid.uniform(4)
     with pytest.raises(UsageError):
-        PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
+        PiecewiseOracle(grid, KernelKind("triangle"), np.ones(4))
     for stride in (0, -1, True, 1.5, "2"):
         with pytest.raises(UsageError, match="stride must be a positive"):
-            PiecewiseOracle(grid, KernelKind.triangle(), np.ones(5), stride)
+            PiecewiseOracle(grid, KernelKind("triangle"), np.ones(5), stride)
     with pytest.raises(UsageError, match="stride 2 does not divide n = 5"):
         PiecewiseOracle(KnotGrid.uniform(5), KernelKind.cubic_bump(),
                         np.ones(3), stride=2)
     with pytest.raises(UsageError, match="stride 3 does not divide n = 4"):
-        PiecewiseOracle(grid, KernelKind.triangle(), np.ones(2), stride=3)
+        PiecewiseOracle(grid, KernelKind("triangle"), np.ones(2), stride=3)
     with pytest.raises(UsageError):
-        PiecewiseOracle(grid, KernelKind.box(), np.array([1.0, np.nan,
+        PiecewiseOracle(grid, KernelKind("box"), np.array([1.0, np.nan,
                                                           0.0, 0.0, 0.0]))
     with pytest.raises(UsageError, match="box kernel needs stride 1"):
-        PiecewiseOracle(grid, KernelKind.box(), np.ones(3), stride=2)
+        PiecewiseOracle(grid, KernelKind("box"), np.ones(3), stride=2)
     # a numpy integer stride is stored as a Python int
-    model = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(3),
+    model = PiecewiseOracle(grid, KernelKind("triangle"), np.ones(3),
                             np.int64(2))
     assert type(model.stride) is int and model.stride == 2
 
 
 def test_oracle_domain():
     grid = KnotGrid.uniform(4)
-    model = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(5))
+    model = PiecewiseOracle(grid, KernelKind("triangle"), np.ones(5))
     for bad in (-0.01, 1.01, np.nan, np.inf):
         with pytest.raises(DomainError):
             eval_oracle_grid(model, np.array([bad]))
@@ -155,14 +155,14 @@ def _random_models(rng, n):
     grid = KnotGrid.uniform(n)
     c = rng.uniform(-2.0, 2.0, (n + 1, 2))
     c[n // 2, 1] = -0.0
-    yield PiecewiseOracle(grid, KernelKind.box(), c)
-    yield PiecewiseOracle(grid, KernelKind.triangle(), c)
+    yield PiecewiseOracle(grid, KernelKind("box"), c)
+    yield PiecewiseOracle(grid, KernelKind("triangle"), c)
     yield PiecewiseOracle(grid, KernelKind.cubic_bump(), c)
     if n % 2 == 0:
         yield PiecewiseOracle(grid, KernelKind.cubic_bump(0.6),
                               c[0::2, :], stride=2)
     if n % 3 == 0:
-        yield PiecewiseOracle(grid, KernelKind.triangle(), c[0::3, :],
+        yield PiecewiseOracle(grid, KernelKind("triangle"), c[0::3, :],
                               stride=3)
         yield PiecewiseOracle(grid, KernelKind.cubic_bump(0.25),
                               c[0::3, :], stride=3)
@@ -191,7 +191,7 @@ def _offset_models(n):
     window runs over row offsets; half = ceil(support radius / stride)."""
     grid = KnotGrid.uniform(n)
     bumps = [KernelKind.cubic_bump(s) for s in (0.0, 0.5, 0.75)]
-    for kernel in [KernelKind.triangle()] + bumps:
+    for kernel in [KernelKind("triangle")] + bumps:
         radius = 1 if kernel.kind == "triangle" else 2
         for stride in (1, 2, 3):
             if n % stride == 0:
@@ -238,7 +238,7 @@ def test_grid_evaluation_matches_scalar():
 def test_box_model_closed_at_right_endpoint():
     grid = KnotGrid.uniform(4)
     c = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-    model = PiecewiseOracle(grid, KernelKind.box(), c)
+    model = PiecewiseOracle(grid, KernelKind("box"), c)
     got = eval_oracle_grid(model, np.array([1.0, 0.75, 0.999, 0.0]))
     assert got[:, 0].tolist() == [40.0, 40.0, 40.0, 10.0]
 
@@ -250,7 +250,7 @@ def test_box_model_exact_at_awkward_knots():
     n = 49
     grid = KnotGrid.uniform(n)
     c = np.arange(n + 1, dtype=np.float64)
-    model = PiecewiseOracle(grid, KernelKind.box(), c)
+    model = PiecewiseOracle(grid, KernelKind("box"), c)
     for j in range(n):
         assert eval_oracle_grid(model, grid.knots[j:j + 1])[0, 0] == c[j]
     got = eval_oracle_grid(model, grid.knots[:-1])[:, 0]
@@ -272,8 +272,8 @@ def test_tensor_product_reduces_to_eval_oracle_bitwise():
 
 def test_tensor_product_bilinear_exact():
     grid = KnotGrid.uniform(3)
-    ax = PiecewiseOracle(grid, KernelKind.triangle(), grid.knots.copy())
-    ay = PiecewiseOracle(grid, KernelKind.triangle(), grid.knots.copy())
+    ax = PiecewiseOracle(grid, KernelKind("triangle"), grid.knots.copy())
+    ay = PiecewiseOracle(grid, KernelKind("triangle"), grid.knots.copy())
     corner = grid.knots[:, None] + 2.0 * grid.knots[None, :]
     rng = np.random.default_rng(73)
     for _ in range(200):
@@ -282,10 +282,31 @@ def test_tensor_product_bilinear_exact():
         assert abs(got - (x + 2.0 * y)) <= 1e-12
 
 
+def test_tensor_product_trilinear_matches_full_sum():
+    # p = 3, unequal N, cubic bumps at strides 1 and 2 with three
+    # slopes, against every row of every axis, with no window
+    axes = [PiecewiseOracle(KnotGrid.uniform(n), KernelKind.cubic_bump(slope),
+                            np.zeros(n // stride + 1), stride)
+            for n, stride, slope in ((3, 1, 0.75), (5, 1, 0.3), (8, 2, 0.6))]
+    rng = np.random.default_rng(74)
+    corner = rng.uniform(-2.0, 2.0, tuple(m.coefficients.shape[0] for m in axes))
+    points = rng.uniform(0.0, 1.0, (200, 3))
+    points[:3] = [[0.0, 1.0, 0.5], [1.0, 0.0, 0.25], [1 / 3, 0.4, 0.75]]
+    for point in points:
+        weights = [kernel_values(m.kernel, x * m.grid.n - m.stride
+                                 * np.arange(m.coefficients.shape[0]))
+                   for m, x in zip(axes, point)]
+        want = np.einsum("ijk,i,j,k->", corner, *weights)
+        scale = np.einsum("ijk,i,j,k->", np.abs(corner),
+                          *(np.abs(w) for w in weights))
+        got = eval_tensor_product(axes, corner, point)
+        assert abs(got - want) <= 1e-13 * scale
+
+
 def test_tensor_product_validation():
     grid = KnotGrid.uniform(3)
-    tri = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
-    box = PiecewiseOracle(grid, KernelKind.box(), np.ones(4))
+    tri = PiecewiseOracle(grid, KernelKind("triangle"), np.ones(4))
+    box = PiecewiseOracle(grid, KernelKind("box"), np.ones(4))
     corner = np.ones((4, 4))
     with pytest.raises(UsageError):
         eval_tensor_product([], corner, [])
@@ -303,7 +324,7 @@ def test_tensor_product_validation():
 
 def test_tensor_product_refuses_non_finite_corner_values():
     grid = KnotGrid.uniform(3)
-    tri = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
+    tri = PiecewiseOracle(grid, KernelKind("triangle"), np.ones(4))
     for bad in (np.nan, np.inf):
         corner = np.ones((4, 4))
         # outside the point's window, and refused all the same
@@ -314,7 +335,7 @@ def test_tensor_product_refuses_non_finite_corner_values():
 
 def test_tensor_product_refuses_non_numeric_input():
     grid = KnotGrid.uniform(3)
-    tri = PiecewiseOracle(grid, KernelKind.triangle(), np.ones(4))
+    tri = PiecewiseOracle(grid, KernelKind("triangle"), np.ones(4))
     corner = np.ones((4, 4))
     for point in (["a", 0.5], [None, 0.5], 0.5):
         with pytest.raises(UsageError, match="must be numbers"):
@@ -420,19 +441,19 @@ def test_fit_recovers_triangle_expansion():
     rng = np.random.default_rng(83)
     grid = KnotGrid.uniform(10)
     c = rng.uniform(-1.5, 1.5, 11)
-    model = PiecewiseOracle(grid, KernelKind.triangle(), c)
+    model = PiecewiseOracle(grid, KernelKind("triangle"), c)
     xs = np.linspace(0.0, 1.0, 300)
     ys = eval_oracle_grid(model, xs)[:, 0]
     fit = fit_kernel_weights(np.column_stack([xs, ys]),
-                             KernelKind.triangle(), grid)
+                             KernelKind("triangle"), grid)
     assert np.max(np.abs(fit.omega - c)) <= 1e-8
     assert fit.rms_residual <= 1e-10
 
 
 @pytest.mark.parametrize("n", [7, 49, 64])
 @pytest.mark.parametrize("kernel, bound", [
-    (KernelKind.box(), 1e-13),
-    (KernelKind.triangle(), 1e-13),
+    (KernelKind("box"), 1e-13),
+    (KernelKind("triangle"), 1e-13),
     (KernelKind.cubic_bump(), 1e-10),
 ])
 def test_fit_weights_are_those_of_the_oracle(kernel, bound, n):
@@ -456,7 +477,7 @@ def test_fit_weights_are_those_of_the_oracle(kernel, bound, n):
 
 def test_fit_validation():
     grid = KnotGrid.uniform(8)
-    tri = KernelKind.triangle()
+    tri = KernelKind("triangle")
     with pytest.raises(UsageError):
         fit_kernel_weights(np.ones((4, 3)), tri, grid)
     with pytest.raises(UsageError):
@@ -477,7 +498,7 @@ def test_fit_refuses_a_gram_matrix_it_cannot_allocate():
     xs = np.linspace(0.0, 1.0, n + 1)
     with pytest.raises(UsageError, match="kernel fit of N = 1000000 cannot"):
         fit_kernel_weights(np.column_stack([xs, np.zeros(n + 1)]),
-                           KernelKind.box(), KnotGrid.uniform(n))
+                           KernelKind("box"), KnotGrid.uniform(n))
 
 
 def test_matching_oracle_selection():

@@ -49,8 +49,8 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 
 numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     _EDGES)
-activations = (st.sampled_from([Activation.step(), Activation.relu(),
-                                Activation.ramp()])
+activations = (st.sampled_from([Activation("step"), Activation("relu"),
+                                Activation("ramp")])
                | st.builds(Activation.cubic,
                            st.sampled_from([0.0, -0.0, 0.5, 0.75])
                            | st.floats(0.0, 0.75)))
@@ -126,7 +126,7 @@ def _canonical(text):
 
 
 _ONE_UNIT = json.loads(save_model(Network(
-    [1.0], [0.0], (Activation.relu(),), [0], [[1.0]], [0.0], "constant", 1)))
+    [1.0], [0.0], (Activation("relu"),), [0], [[1.0]], [0.0], "constant", 1)))
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
