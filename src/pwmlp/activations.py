@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_floats
 
 STEP = "step"
 RELU = "relu"
@@ -81,22 +81,18 @@ class Activation:
         return Activation(CUBIC, inflection_slope)
 
 
-def activation_values(act, z):
-    """The activation over an array z, as a new float64 array.
+def activation_values(act, z, out=None, spare=None):
+    """The activation over an array z of numbers, as float64: step(x)
+    is 1 for x >= 0 (closed at zero), relu(x) = max(0, x), ramp(x) =
+    clamp(x, 0, 1), and the cubic is 0 below -1, 1 above 1, and the
+    polynomial in Horner form in between.
 
-    step(x) is 1 for x >= 0 (closed at zero), relu(x) = max(0, x),
-    ramp(x) = clamp(x, 0, 1), and the cubic is 0 below -1, 1 above 1,
-    and the polynomial in Horner form in between.
+    The values go to out, or for the cubic to spare: float64 arrays
+    shaped like z, or None (the default) for new ones.  out may be z
+    itself; spare may not, since the cubic takes both masks from z and
+    then runs Horner in spare.  Returns the array that holds the values.
     """
-    return activate(act, np.asarray(z, dtype=np.float64))
-
-
-def activate(act, z, out=None, spare=None):
-    """activation_values(act, z) for a float64 array z, written to out,
-    or for the cubic to spare; each is an array shaped like z, or None
-    for a new one.  out may be z itself; spare may not, since the cubic
-    takes both masks from z and then runs Horner in spare.  Returns the
-    array that holds the values."""
+    z = require_floats(z, "activation inputs")
     if act.kind == STEP:
         if out is None:
             out = np.empty_like(z)

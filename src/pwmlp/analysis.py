@@ -8,7 +8,7 @@ import numpy as np
 
 from .activations import DEFAULT_SLOPE
 from .builders import build_network, matching_oracle
-from .errors import NumericalError, UsageError, require_int
+from .errors import UsageError, require_finite, require_floats, require_int
 from .grids import KnotGrid, TargetSamples
 from .network import compile_network, forward_grid
 from .oracle import eval_oracle_grid
@@ -80,16 +80,12 @@ def _error_summary(xs, approx_values, target_values):
     """Sup and RMS deviation of the approximant's values from the
     target's on the grid xs; each must hold one finite value per
     point."""
-    ya = np.asarray(approx_values, dtype=np.float64)
-    yt = np.asarray(target_values, dtype=np.float64)
+    ya = require_floats(approx_values, "approximant values")
+    yt = require_floats(target_values, "target values")
     if ya.shape != xs.shape or yt.shape != xs.shape:
         raise UsageError("closures must return one value per grid point")
-    for name, y in (("approximant", ya), ("target", yt)):
-        bad = ~np.isfinite(y)
-        if bad.any():
-            raise NumericalError(
-                "%s is non-finite at x=%r" % (name, float(xs[bad.argmax()]))
-            )
+    require_finite(xs, ya, "approximant")
+    require_finite(xs, yt, "target")
     d = ya - yt
     return ErrorSummary(
         sup_error=float(np.max(np.abs(d))),

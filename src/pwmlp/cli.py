@@ -168,7 +168,10 @@ def _parse_grid_spec(spec):
         toks = [t for t in spec.split(",") if t.strip()]
         if not toks:
             raise UsageError("empty evaluation grid")
-        return np.asarray([_parse_float(t, "--grid") for t in toks])
+        try:
+            return np.asarray([float(t) for t in toks])
+        except ValueError as exc:  # float's message names the token
+            raise UsageError("--grid: %s" % (exc,)) from None
     try:
         count = int(spec)
     except ValueError:

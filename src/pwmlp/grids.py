@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, require_int
+from .errors import UsageError, require_floats, require_int
 
 
 def _uniform_knots(n):
@@ -33,7 +33,7 @@ class KnotGrid:
         object.__setattr__(self, "n", require_int(
             self.n, 1, "knot grid needs an integer n >= 1, got %r"
             % (self.n,)))
-        k = np.asarray(self.knots, dtype=np.float64)
+        k = require_floats(self.knots, "knot array")
         if k.shape != (self.n + 1,):
             raise UsageError("knot array must have n + 1 entries")
         # The builders take unit weights from n and biases from the
@@ -63,17 +63,16 @@ class TargetSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            v = v.reshape(-1, 1)
-        if v.ndim != 2 or v.shape[0] != self.grid.n + 1 or v.shape[1] < 1:
+        v = require_floats(self.values, "target samples")
+        if (v.ndim not in (1, 2) or v.shape[0] != self.grid.n + 1
+                or v.shape[-1] < 1):
             raise UsageError(
                 "values must have one row per knot (expected %d, got %r)"
-                % (self.grid.n + 1, np.asarray(self.values).shape)
+                % (self.grid.n + 1, v.shape)
             )
         if not np.all(np.isfinite(v)):
             raise UsageError("target samples must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", v.reshape(len(v), -1))
 
     @property
     def q(self):
@@ -82,4 +81,4 @@ class TargetSamples:
     @staticmethod
     def from_function(grid, fn):
         """Sample a (vectorized) scalar function at the knots."""
-        return TargetSamples(grid, np.asarray(fn(grid.knots), dtype=np.float64))
+        return TargetSamples(grid, fn(grid.knots))

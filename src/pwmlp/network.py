@@ -27,16 +27,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .activations import (
-    CUBIC,
-    KINDS,
-    RELU,
-    STEP,
-    Activation,
-    activate,
-    activation_values,
-)
-from .errors import DomainError, FormatError, NumericalError, UsageError, require_int
+from .activations import (CUBIC, KINDS, RELU, STEP, Activation,
+                          activation_values)
+from .errors import (DomainError, FormatError, UsageError, require_finite,
+                     require_floats, require_int, require_points)
 
 
 def _bytes_backed(arr):
@@ -47,13 +41,14 @@ def _bytes_backed(arr):
     return type(arr) is bytes
 
 
-def _frozen(values, dtype=np.float64):
+def _frozen(values, what, dtype=np.float64):
     """values as a read-only array of dtype: values itself when it is a
-    read-only array of that dtype backed by bytes, else a copy."""
+    read-only array of that dtype backed by bytes, else a copy of
+    require_floats(values, what, dtype)."""
     if (type(values) is np.ndarray and values.dtype == dtype
             and not values.flags.writeable and _bytes_backed(values)):
         return values
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(require_floats(values, what, dtype))
     arr.flags.writeable = False
     return arr
 
@@ -65,10 +60,11 @@ class Network:
     Unit i computes acts[group[i]](weight[i] * x + bias[i]); output k is
     tap_bias[k] + sum_i taps[i, k] * unit_i(x).  weight, bias (m,),
     taps (m, q) and tap_bias (q,) are stored as read-only float64
-    copies, group (m,) as a read-only int64 copy.  An array that is
-    already read-only, of that dtype, and backed by an immutable bytes
-    object (load_model's np.frombuffer of the decoded base64) is kept
-    without a copy, since nothing can write its memory.
+    copies, group (m,) as a read-only int64 copy, by the rule of
+    errors.require_floats (an index must be an integer).  An array that
+    is already read-only, of that dtype, and backed by an immutable
+    bytes object (load_model's np.frombuffer of the decoded base64) is
+    kept without a copy, since nothing can write its memory.
     """
 
     weight: np.ndarray
@@ -82,8 +78,9 @@ class Network:
 
     def __post_init__(self):
         for name in ("weight", "bias", "taps", "tap_bias"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        object.__setattr__(self, "group", _frozen(self.group, np.int64))
+            object.__setattr__(self, name, _frozen(getattr(self, name), name))
+        object.__setattr__(self, "group",
+                           _frozen(self.group, "group", np.int64))
         object.__setattr__(self, "acts", tuple(self.acts))
         if not isinstance(self.method, str):
             raise UsageError("network method must be a string")
@@ -123,32 +120,6 @@ class Network:
         return self.taps.shape[1]
 
 
-def _finite_outputs(xs, out):
-    """out, the (len(xs), q) outputs at xs; NumericalError naming the
-    first x where one is not finite."""
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise NumericalError("network output is not finite at x=%r"
-                             % float(xs[bad.any(axis=1).argmax()]))
-    return out
-
-
-def _evaluation_grid(grid):
-    """The points of a 1-D evaluation grid as float64, validated."""
-    try:
-        xs = np.asarray(grid, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise UsageError("evaluation points must be numbers: %s"
-                         % (exc,)) from None
-    if xs.ndim != 1:
-        raise UsageError("evaluation grid must be one-dimensional")
-    if xs.size == 0:
-        raise UsageError("evaluation grid is empty")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("non-finite evaluation point")
-    return xs
-
-
 # Values per work buffer of forward_grid.  A call holds four such
 # buffers, about 0.4 MB, and for the cubic two masks of a byte per
 # value, whatever the grid and the width.  A larger tile was faster on
@@ -173,21 +144,17 @@ def _per_lane(values, lanes, buf):
     return out
 
 
-def _tile_activations(acts, members, z, spare, start):
-    """Activations of the neurons start, start+1, ... on axis 1 of the
-    tile z, written over z or spare (an array like z); returns the one
-    that holds them.  A tile of one activation is written in place; a
-    mixed tile makes one activation_values call per activation present.
-    members is None when one activation covers the network."""
-    if members is None:
-        return activate(acts[0], z, z, spare)
-    stop = start + z.shape[1]
-    for act, idx in zip(acts, members):
-        lo, hi = np.searchsorted(idx, (start, stop))
-        if hi - lo == z.shape[1]:
-            return activate(act, z, z, spare)
-        if lo < hi:
-            cols = idx[lo:hi] - start
+def _tile_activations(acts, group, z, spare):
+    """Activations of the neurons on axis 1 of the tile z, whose indices
+    into acts are group, written over z or spare (an array like z);
+    returns the one that holds them.  A network of one activation is
+    written in place; a mixed one makes one activation_values call per
+    activation present in the tile."""
+    if len(acts) == 1:
+        return activation_values(acts[0], z, z, spare)
+    for g, act in enumerate(acts):
+        cols = np.flatnonzero(group == g)
+        if cols.size:
             spare[:, cols] = activation_values(act, z[:, cols])
     return spare
 
@@ -261,12 +228,9 @@ def forward_grid(net, grid):
     Raises NumericalError, naming the first such x, when an output is
     not finite (an overflow of the network's own arithmetic).
     """
-    xs = _evaluation_grid(grid)
+    xs = require_points(grid)
     w, b, taps, acts = net.weight, net.bias, net.taps, net.acts
     width, q = taps.shape
-    members = None
-    if len(acts) > 1:
-        members = [np.flatnonzero(net.group == g) for g in range(len(acts))]
     lanes = 1 if xs.size == 1 else 2
     pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
     pairs = pts.reshape(-1, lanes)
@@ -290,13 +254,15 @@ def forward_grid(net, grid):
                     np.multiply(x[:, lane, None], w[j:j + n],
                                 out=tile_z[..., lane])
                 np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
-                a = _tile_activations(acts, members, tile_z, tile_spare, j)
+                a = _tile_activations(acts, net.group[j:j + n], tile_z,
+                                      tile_spare)
                 e = z if a is tile_spare else spare
                 for k in range(q):
                     c = _per_lane(taps[j:j + n, k], lanes, s)
                     _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
             np.add(total, comp, out=out[:, i:i + rows])
-    return _finite_outputs(xs, out.reshape(q, -1)[:, :xs.size].T)
+    return require_finite(xs, out.reshape(q, -1)[:, :xs.size].T,
+                          "network output")
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,13 +288,13 @@ class PiecewiseNetwork:
         indexing on the middle axis of coeffs is several times slower.
         The grid is validated as forward_grid validates it, and a
         non-finite output raises NumericalError as it does there."""
-        xs = _evaluation_grid(grid)
+        xs = require_points(grid)
         piece = np.searchsorted(self.breaks, xs, side="right")
         t = (xs - self.anchors.take(piece))[:, None]
         c = self.coeffs.take(piece, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             out = ((c[3] * t + c[2]) * t + c[1]) * t + c[0]
-        return _finite_outputs(xs, out)
+        return require_finite(xs, out, "network output")
 
 
 def _step_flipped(w, b, x):
@@ -430,7 +396,7 @@ def compile_network(net):
         bias, which = b[flat], group[flat]
         const = np.empty(bias.size)
         for g, act in enumerate(acts):
-            const[which == g] = activate(act, bias[which == g])
+            const[which == g] = activation_values(act, bias[which == g])
         add(np.full(const.size, -np.inf), const[:, None] * taps[flat],
             np.zeros((const.size, q)))
 
@@ -511,10 +477,7 @@ def compile_network(net):
             np.multiply(part, c[:, k], out=weights[pieces:])
             coeffs[d, :, k] = np.bincount(index, weights, minlength=pieces)
 
-    bad = ~np.isfinite(coeffs).all(axis=(0, 2))
-    if bad.any():
-        raise NumericalError("compiled network is not finite on the piece "
-                             "anchored at x=%r" % float(anchors[bad.argmax()]))
+    require_finite(anchors, coeffs.transpose(1, 0, 2), "compiled network")
     for arr in (breaks, anchors, coeffs):
         arr.flags.writeable = False
     return PiecewiseNetwork(breaks, anchors, coeffs)

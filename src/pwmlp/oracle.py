@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .activations import DEFAULT_SLOPE, Activation, activation_values
-from .errors import DomainError, NumericalError, UsageError, require_int
+from .errors import (DomainError, NumericalError, UsageError, require_finite,
+                     require_floats, require_int, require_points)
 from .grids import KnotGrid
 
 BOX = "box"
@@ -72,13 +73,13 @@ class KernelKind:
 
 def kernel_values(kernel, u):
     """A kernel over an array of normalized coordinates
-    u = (x - x_j) / h, as a new float64 array.
+    u = (x - x_j) / h that are numbers, as a new float64 array.
 
     Box: 1 on [0, 1), else 0.  Triangle: u+1 on [-1, 0], 1-u on [0, 1],
     else 0.  Cubic bump: q(u+1) + q(1-u) - 1, two opposed unit cubics
     minus the unit shift; support [-2, 2], value 1 at 0 and 0.5 at +-1.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = require_floats(u, "kernel coordinates")
     if kernel.kind == BOX:
         return np.where((u >= 0.0) & (u < 1.0), 1.0, 0.0)
     if kernel.kind == TRIANGLE:
@@ -144,7 +145,7 @@ class PiecewiseOracle:
     stride: int = 1
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
+        c = require_floats(self.coefficients, "oracle coefficients")
         if c.ndim == 1:
             c = c.reshape(-1, 1)
         stride = require_int(self.stride, 1, "oracle stride must be a "
@@ -209,21 +210,20 @@ def _window(model, xs):
 
 
 def eval_oracle_grid(model, grid):
-    """Evaluate the kernel sum over a 1-D grid; returns (len(grid), q)."""
-    try:
-        xs = np.asarray(grid, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise UsageError("evaluation points must be numbers: %s"
-                         % (exc,)) from None
-    if xs.ndim != 1 or xs.size == 0:
-        raise UsageError("evaluation grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(xs)) or xs.min() < 0.0 or xs.max() > 1.0:
+    """Evaluate the kernel sum over a 1-D grid; returns (len(grid), q).
+
+    The points are checked by errors.require_points and must lie in
+    [0, 1] (DomainError).  Raises NumericalError, naming the first such
+    x, when a sum of the finite coefficients overflows."""
+    xs = require_points(grid)
+    if xs.min() < 0.0 or xs.max() > 1.0:
         raise DomainError("oracle evaluation points must lie in [0, 1]")
     coef = model.coefficients
     acc = np.zeros((xs.size, model.q), dtype=np.float64)
-    for rows, weights in _window(model, xs):
-        acc += coef.take(rows, axis=0) * weights[:, None]
-    return acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, weights in _window(model, xs):
+            acc += coef.take(rows, axis=0) * weights[:, None]
+    return require_finite(xs, acc, "kernel sum")
 
 
 def eval_tensor_product(models, corner_values, point):
@@ -233,9 +233,10 @@ def eval_tensor_product(models, corner_values, point):
     p-dimensional array indexed by per-axis kernel rows.  The axes are
     contracted in order, each by eval_oracle_grid at its coordinate over
     the model whose columns are the remaining axes, so p = 1 is
-    eval_oracle_grid itself.  A coordinate or corner value that is not a
-    number, or a corner value that is not finite, is a UsageError, and a
-    coordinate outside [0, 1] a DomainError.
+    eval_oracle_grid itself, which refuses a coordinate or an overflow.
+    A point or corner value that is not numbers, a point without one
+    coordinate per axis, or a corner value that is not finite is a
+    UsageError.
     """
     if len(models) < 1:
         raise UsageError("tensor product needs at least one axis")
@@ -244,16 +245,11 @@ def eval_tensor_product(models, corner_values, point):
     kinds = {m.kernel.kind for m in models}
     if len(kinds) != 1:
         raise UsageError("tensor product axes must share one kernel kind")
-    try:
-        point = [float(c) for c in point]
-        corner = np.asarray(corner_values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise UsageError("tensor point and corner values must be numbers: %s"
-                         % (exc,)) from None
-    if len(point) != len(models):
-        raise UsageError(
-            "point has %d coordinates for %d axes" % (len(point), len(models))
-        )
+    point = require_floats(point, "tensor point")
+    corner = require_floats(corner_values, "corner values")
+    if point.shape != (len(models),):
+        raise UsageError("tensor point must be numbers, one per axis: "
+                         "shape %r for %d axes" % (point.shape, len(models)))
     expected = tuple(m.coefficients.shape[0] for m in models)
     if corner.shape != expected:
         raise UsageError(
@@ -396,7 +392,7 @@ def fit_kernel_weights(dense_samples, kernel, grid):
     raises UsageError when the dense (N+1)^2 Gram matrix cannot be
     allocated.
     """
-    data = np.asarray(dense_samples, dtype=np.float64)
+    data = require_floats(dense_samples, "dense samples")
     if data.ndim != 2 or data.shape[1] != 2:
         raise UsageError("dense samples must be (x, y) pairs")
     xs = data[:, 0]
@@ -427,8 +423,7 @@ def fit_kernel_weights(dense_samples, kernel, grid):
         omega = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("normal equations singular: %s" % (exc,)) from exc
-    if not np.all(np.isfinite(omega)):
-        raise NumericalError("kernel fit produced non-finite weights")
+    require_finite(grid.knots, omega, "kernel fit weight")
     fitted = eval_oracle_grid(PiecewiseOracle(grid, kernel, omega), xs)[:, 0]
     rms = float(np.sqrt(np.mean((fitted - ys) ** 2)))
     return KernelFit(omega=omega, kernel=kernel, grid=grid, rms_residual=rms)

@@ -9,17 +9,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, require_floats
 
 
 def _const1(x):
     """f(x) = 1.  All derivatives vanish."""
-    return np.ones_like(np.asarray(x, dtype=np.float64))
+    return np.ones_like(require_floats(x, "target points"))
 
 
 def _affine(x):
     """f(x) = 2x + 1.  f' = 2, f'' = 0; sup |f| = 3."""
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "target points")
     return 2.0 * x + 1.0
 
 
@@ -29,7 +29,7 @@ def _sin2pi(x):
     sup |f| ~ 1.1282 at the stationary point near x = 0.2627 (where
     cos(2 pi x) = -1/(4 pi)); |f'| <= 2 pi + 0.5, |f''| <= 4 pi^2.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "target points")
     return np.sin(2.0 * np.pi * x) + 0.5 * x
 
 
@@ -39,13 +39,13 @@ def _runge(x):
     sup |f| = 1 at x = 0.5; |f'| <= 50 u / (1 + 25 u^2)^2 maximized at
     u^2 = 1/75, about 3.248.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "target points")
     return 1.0 / (1.0 + 25.0 * (x - 0.5) ** 2)
 
 
 def _absdev(x):
     """f(x) = |x - 0.5|.  sup |f| = 0.5; |f'| = 1 away from the kink."""
-    x = np.asarray(x, dtype=np.float64)
+    x = require_floats(x, "target points")
     return np.abs(x - 0.5)
 
 

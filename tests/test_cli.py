@@ -169,6 +169,10 @@ def test_eval_bad_inputs(tmp_path, capsys):
     assert code == 2 and "grid" in err
     code, _, err = run(capsys, "eval", str(model_path), "--grid", "abc")
     assert code == 2
+    # a list token that is not a number is named; an empty list is refused
+    for spec, named in (("0.5,abc", "'abc'"), (",", "empty evaluation grid")):
+        code, out, err = run(capsys, "eval", str(model_path), "--grid", spec)
+        assert (code, out) == (2, "") and named in err
     code, _, _ = run(capsys, "eval", str(tmp_path / "missing.json"),
                      "--grid", "5")
     assert code == 3
@@ -547,6 +551,14 @@ def test_csv_sample_errors(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
                        "--csv", str(empty), "--out", str(out))
     assert code == 3
+
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"x,f\xe91\n0.0,1.0\n0.5,2.0\n1.0,3.0\n")
+    code, _, err = run(capsys, "build", "--method", "constant", "--n", "2",
+                       "--csv", str(latin1), "--out", str(out))
+    assert code == 3 and "not UTF-8 text: invalid continuation byte at " \
+        "byte 3" in err
+    assert not out.exists()
 
 
 _KNOT_ROWS = [[0.0, 1.0], [1.0, 2.0]]

@@ -121,7 +121,7 @@ def test_forward_grid_shape_and_validation():
             compiled.eval(bad)
 
 
-@pytest.mark.parametrize("bad", [["a"], [1 + 2j], [0.5, [0.5]]])
+@pytest.mark.parametrize("bad", [["a"], [1 + 2j], [0.5, [0.5]], [None, 0.5]])
 def test_evaluation_points_must_be_numbers(bad):
     samples = TargetSamples.from_function(KnotGrid.uniform(4), np.sin)
     net = build_network("cubic", samples)
