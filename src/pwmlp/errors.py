@@ -53,6 +53,8 @@ def require_floats(values, what, dtype=np.float64):
     strings, bools, complex values, ragged nesting and ints beyond the
     range of dtype are a UsageError naming what.  An array of dtype is
     returned itself; an empty array converts whatever its dtype."""
+    if type(values) is np.ndarray and values.dtype == dtype:
+        return values  # the common case, which forward_grid meets per tile
     kinds, noun, real = (
         ("iu", "integers", (int, np.integer)) if np.dtype(dtype).kind in "iu"
         else ("iuf", "numbers", (int, float, np.integer, np.floating)))

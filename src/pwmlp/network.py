@@ -144,15 +144,16 @@ def _per_lane(values, lanes, buf):
     return out
 
 
-def _tile_activations(acts, group, z, spare):
-    """Activations of the neurons on axis 1 of the tile z, whose indices
-    into acts are group, written over z or spare (an array like z);
-    returns the one that holds them.  A network of one activation is
-    written in place; a mixed one makes one activation_values call per
-    activation present in the tile."""
-    if len(acts) == 1:
-        return activation_values(acts[0], z, z, spare)
-    for g, act in enumerate(acts):
+def _tile_activations(net, start, z, spare):
+    """Activations of the neurons start, start+1, ... of net on axis 1 of
+    the tile z, written over z or spare (an array like z); returns the
+    one that holds them.  A network of one activation is written in
+    place; a mixed one makes one activation_values call per activation
+    present in the tile's own slice of net.group."""
+    if len(net.acts) == 1:
+        return activation_values(net.acts[0], z, z, spare)
+    group = net.group[start:start + z.shape[1]]
+    for g, act in enumerate(net.acts):
         cols = np.flatnonzero(group == g)
         if cols.size:
             spare[:, cols] = activation_values(act, z[:, cols])
@@ -229,7 +230,7 @@ def forward_grid(net, grid):
     not finite (an overflow of the network's own arithmetic).
     """
     xs = require_points(grid)
-    w, b, taps, acts = net.weight, net.bias, net.taps, net.acts
+    w, b, taps = net.weight, net.bias, net.taps
     width, q = taps.shape
     lanes = 1 if xs.size == 1 else 2
     pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
@@ -254,8 +255,7 @@ def forward_grid(net, grid):
                     np.multiply(x[:, lane, None], w[j:j + n],
                                 out=tile_z[..., lane])
                 np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
-                a = _tile_activations(acts, net.group[j:j + n], tile_z,
-                                      tile_spare)
+                a = _tile_activations(net, j, tile_z, tile_spare)
                 e = z if a is tile_spare else spare
                 for k in range(q):
                     c = _per_lane(taps[j:j + n, k], lanes, s)
