@@ -87,10 +87,16 @@ def activation_values(act, z, out=None, spare=None):
     clamp(x, 0, 1), and the cubic is 0 below -1, 1 above 1, and the
     polynomial in Horner form in between.
 
-    The values go to out, or for the cubic to spare: float64 arrays
-    shaped like z, or None (the default) for new ones.  out may be z
-    itself; spare may not, since the cubic takes both masks from z and
-    then runs Horner in spare.  Returns the array that holds the values.
+    The cubic runs Horner on clip(z, -1, 1), with no masks.  That gives
+    the plateaus exactly: a2 = 0, and fl(fl(0.5 - a1) + a1) = 0.5 for
+    every slope a1 in [0, 0.75] (0.5 - a1 is exact from 0.25 on, and
+    below it errs by at most 2**-55, where a tie rounds to 0.5), so
+    Horner reads +0.0 at -1 and 1.0 at 1; a NaN stays NaN.
+
+    The values go to out, or for the cubic to spare, while out receives
+    the clipped z: float64 arrays shaped like z, or None (the default)
+    for new ones.  out may be z itself; spare may be neither.  Returns
+    the array that holds the values.
     """
     z = require_floats(z, "activation inputs")
     if act.kind == STEP:
@@ -102,14 +108,11 @@ def activation_values(act, z, out=None, spare=None):
     if act.kind == RAMP:
         return np.clip(z, 0.0, 1.0, out=out)
     a0, a1, a2, a3 = act.cubic_coeffs
-    low = z <= -1.0
-    high = z >= 1.0
-    body = np.multiply(z, a3, out=spare)
+    t = np.clip(z, -1.0, 1.0, out=out)
+    body = np.multiply(t, a3, out=spare)
     body += a2
-    body *= z
+    body *= t
     body += a1
-    body *= z
+    body *= t
     body += a0
-    np.copyto(body, 0.0, where=low)
-    np.copyto(body, 1.0, where=high)
     return body

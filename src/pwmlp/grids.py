@@ -45,6 +45,9 @@ class KnotGrid:
                              "knots j * (1/n), as KnotGrid.uniform(n) makes")
         knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
+        # an h equal to 1/n but of another type (True at n = 1, a
+        # float32 0.25) is stored as the float every grid holds
+        object.__setattr__(self, "h", 1.0 / self.n)
 
     @staticmethod
     def uniform(n):

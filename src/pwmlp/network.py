@@ -121,11 +121,19 @@ class Network:
 
 
 # Values per work buffer of forward_grid.  A call holds four such
-# buffers, about 0.4 MB, and for the cubic two masks of a byte per
-# value, whatever the grid and the width.  A larger tile was faster on
-# many points but raised a call's peak memory.
+# buffers, about 0.4 MB, whatever the grid and the width.  A larger tile
+# was faster on many points but raised a call's peak memory.
 _TILE = 12288
-_SIDE = math.isqrt(_TILE)
+
+# Calls of _WIDE points or more run the wide kernel, whose tiles hold
+# the points contiguous along each neuron's row, with at least
+# _WIDE_UNITS neurons to a tile.  Fewer points run in rows of point
+# pairs.  On N = 512 networks (constant, linear-relu, cubic) the rows
+# of pairs were 4-24 % faster at 4 and 6 points, the two kernels alike
+# at 8, and the wide one 7-23 % faster from 12 points on; neuron tiles
+# of 32 rather than 110 made the eval-points pass 5-15 % faster.
+_WIDE = 8
+_WIDE_UNITS = 32
 
 # The dtype whose one element is a lane group: the running sums of L
 # interleaved points then take one cumsum over elements of this dtype,
@@ -144,19 +152,20 @@ def _per_lane(values, lanes, buf):
     return out
 
 
-def _tile_activations(net, start, z, spare):
-    """Activations of the neurons start, start+1, ... of net on axis 1 of
-    the tile z, written over z or spare (an array like z); returns the
-    one that holds them.  A network of one activation is written in
-    place; a mixed one makes one activation_values call per activation
-    present in the tile's own slice of net.group."""
+def _tile_activations(net, start, z, spare, axis):
+    """Activations of the neurons start, start+1, ... of net, which run
+    along axis of the tile z, written over z or spare (an array like z);
+    returns the one that holds them.  A network of one activation is
+    written in place; a mixed one makes one activation_values call per
+    activation present in the tile's own slice of net.group."""
     if len(net.acts) == 1:
         return activation_values(net.acts[0], z, z, spare)
-    group = net.group[start:start + z.shape[1]]
+    group = net.group[start:start + z.shape[axis]]
     for g, act in enumerate(net.acts):
-        cols = np.flatnonzero(group == g)
-        if cols.size:
-            spare[:, cols] = activation_values(act, z[:, cols])
+        units = np.flatnonzero(group == g)
+        if units.size:
+            index = (slice(None),) * axis + (units,)
+            spare[index] = activation_values(act, z[index])
     return spare
 
 
@@ -204,6 +213,98 @@ def _neumaier_lanes(a, c, total, comp, v, s, e):
     comp[:] = tile_v[:, -1]
 
 
+def _forward_pairs(net, xs):
+    """forward_grid's kernel for fewer than _WIDE points, as a (q,
+    points) array, padded to an even count past one point.  Points 2i
+    and 2i + 1 ride in the two lanes of one row (one lane for a single
+    point), and all rows share each (rows x neurons x lanes) tile."""
+    w, b, taps = net.weight, net.bias, net.taps
+    width, q = taps.shape
+    lanes = 1 if xs.size == 1 else 2
+    pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
+    x = pts.reshape(-1, lanes)
+    rows = len(x)
+    cols = min(width, _TILE // pts.size)
+    v, s, z, spare = np.empty((4, rows * (cols + 1) * lanes))
+    total = np.repeat(net.tap_bias, pts.size).reshape(q, rows, lanes)
+    comp = np.zeros_like(total)
+    for j in range(0, width, cols):
+        n = min(cols, width - j)
+        tile_z, tile_spare = (buf[:pts.size * n].reshape(rows, n, lanes)
+                              for buf in (z, spare))
+        for lane in range(lanes):
+            np.multiply(x[:, lane, None], w[j:j + n], out=tile_z[..., lane])
+        np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
+        a = _tile_activations(net, j, tile_z, tile_spare, 1)
+        e = z if a is tile_spare else spare
+        for k in range(q):
+            c = _per_lane(taps[j:j + n, k], lanes, s)
+            _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
+    total += comp
+    return total.reshape(q, -1)
+
+
+def _neumaier_points(a, c, total, comp, v, s, e):
+    """Add c[j] * a[j] for each neuron j in order to the running Neumaier
+    sums total and their compensation comp, in place.
+
+    a is an (n, p) tile whose column i is one point, p even, c (n, 1)
+    holds the taps, and total and comp are (p,).  v, s and e are flat
+    work buffers of at least (n + 1) * p values.  The running sums are
+    one cumsum down the neurons, seeded with total, over the complex128
+    view in which points 2i and 2i + 1 share an element and add
+    separately.  The exact rounding error of each addition (branch-free
+    TwoSum, equal to Neumaier's branch) is summed by np.add.reduce
+    seeded with comp: numpy reduces an axis that is not the innermost
+    one row at a time, vectorized across the points, so it adds in
+    neuron order.  Each point thus adds in the order of a loop over the
+    neurons, and the result is that loop's, bit for bit.
+    """
+    n, p = a.shape
+    v, s, e = (buf[:(n + 1) * p].reshape(n + 1, p) for buf in (v, s, e))
+    v[0] = total
+    np.multiply(a, c, out=v[1:])
+    np.cumsum(v.view(np.complex128), axis=0, out=s.view(np.complex128))
+    _two_sum_error(s[:-1], v[1:], s[1:], e[1:])
+    e[0] = comp
+    np.add.reduce(e, axis=0, out=comp)
+    total[:] = s[-1]
+
+
+def _forward_wide(net, xs):
+    """forward_grid's kernel for _WIDE points or more, as a (q, points)
+    array, padded to an even count.  Each (neurons x points) tile holds
+    a block of points contiguous along each neuron's row: about _TILE
+    values, at least _WIDE_UNITS neurons and an even number of points."""
+    w, b, taps = net.weight, net.bias, net.taps
+    width, q = taps.shape
+    pts = np.append(xs, xs[-1]) if xs.size % 2 else xs
+    cols = min(width, max(_TILE // pts.size - 1, _WIDE_UNITS))
+    block = min(pts.size, _TILE // (cols + 1) // 2 * 2)
+    v, s, z, spare = np.empty((4, (cols + 1) * block))
+    out = np.empty((q, pts.size))
+    comp = np.empty((q, block))
+    for i in range(0, pts.size, block):
+        x = pts[i:i + block]
+        p = x.size
+        total = out[:, i:i + p]
+        total[:] = net.tap_bias[:, None]
+        comp[:, :p] = 0.0
+        for j in range(0, width, cols):
+            n = min(cols, width - j)
+            tile_z, tile_spare = (buf[:n * p].reshape(n, p)
+                                  for buf in (z, spare))
+            np.multiply(w[j:j + n, None], x, out=tile_z)
+            np.add(tile_z, b[j:j + n, None], out=tile_z)
+            a = _tile_activations(net, j, tile_z, tile_spare, 0)
+            e = z if a is tile_spare else spare
+            for k in range(q):
+                _neumaier_points(a, taps[j:j + n, k, None], total[k],
+                                 comp[k, :p], v, s, e)
+        total += comp[:, :p]
+    return out
+
+
 def forward_grid(net, grid):
     """Evaluate the network on a 1-D grid; returns a (len(grid), q) array.
 
@@ -212,15 +313,19 @@ def forward_grid(net, grid):
     function as a piecewise cubic for repeated evaluation.
 
     Each output is the tap bias plus the tap-weighted activations added
-    in neuron order with a Neumaier-compensated accumulator.  Points
-    2i and 2i+1 ride in the two lanes of one row (one lane for a single
-    point; an odd count pads one copy of its last point, dropped from
-    the result).  The work runs over (rows x neurons x lanes) tiles of
-    about _TILE values: the running sums and their compensation are
-    carried from one neuron tile to the next, and each tile adds in the
-    same order as a loop over its neurons, so the result is that loop's
-    bit for bit.  Memory stays O(_TILE) beyond the parameters, the grid
-    and the result, whatever the grid and the width.
+    in neuron order with a Neumaier-compensated accumulator.  A call of
+    _WIDE points or more runs over (neurons x points) tiles with the
+    points contiguous: the running sums take one cumsum down the
+    neurons, two points to a complex128 element, and their compensation
+    one in-order np.add.reduce.  Fewer points run over (rows x neurons
+    x lanes) tiles, points 2i and 2i+1 in the two lanes of one row (one
+    lane for a single point).  Either kernel pads an odd count with one
+    copy of its last point, dropped from the result.  Tiles hold about
+    _TILE values; the running sums and their compensation are carried
+    from one neuron tile to the next, and each tile adds in the same
+    order as a loop over its neurons, so the result is that loop's bit
+    for bit.  Memory stays O(_TILE) beyond the parameters, the grid and
+    the result, whatever the grid and the width.
 
     Row i equals forward_grid(net, grid[i:i + 1]) bit for bit: every
     lane of the vectorized arithmetic is an independent IEEE double
@@ -230,39 +335,10 @@ def forward_grid(net, grid):
     not finite (an overflow of the network's own arithmetic).
     """
     xs = require_points(grid)
-    w, b, taps = net.weight, net.bias, net.taps
-    width, q = taps.shape
-    lanes = 1 if xs.size == 1 else 2
-    pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
-    pairs = pts.reshape(-1, lanes)
-    # A few points get rows of up to _TILE neurons; many get square
-    # tiles, so neither side of a tile shrinks to a handful of values.
-    cols = min(width, max(_TILE // pts.size, _SIDE))
-    rows = min(len(pairs), _TILE // (cols * lanes))
-    v, s, z, spare = np.empty((4, rows * (cols + 1) * lanes))
-    out = np.empty((q, len(pairs), lanes))
+    kernel = _forward_wide if xs.size >= _WIDE else _forward_pairs
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(pairs), rows):
-            x = pairs[i:i + rows]
-            r = len(x)
-            total = np.repeat(net.tap_bias, r * lanes).reshape(q, r, lanes)
-            comp = np.zeros_like(total)
-            for j in range(0, width, cols):
-                n = min(cols, width - j)
-                tile_z, tile_spare = (buf[:r * n * lanes].reshape(r, n, lanes)
-                                      for buf in (z, spare))
-                for lane in range(lanes):
-                    np.multiply(x[:, lane, None], w[j:j + n],
-                                out=tile_z[..., lane])
-                np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
-                a = _tile_activations(net, j, tile_z, tile_spare)
-                e = z if a is tile_spare else spare
-                for k in range(q):
-                    c = _per_lane(taps[j:j + n, k], lanes, s)
-                    _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
-            np.add(total, comp, out=out[:, i:i + rows])
-    return require_finite(xs, out.reshape(q, -1)[:, :xs.size].T,
-                          "network output")
+        out = kernel(net, xs)
+    return require_finite(xs, out[:, :xs.size].T, "network output")
 
 
 @dataclass(frozen=True, eq=False)

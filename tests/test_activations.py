@@ -147,3 +147,37 @@ def test_cubic_monotone_for_admissible_slopes():
     for s in np.linspace(0.0, 0.75, 7):
         ys = activation_values(Activation.cubic(s), xs)
         assert np.all(np.diff(ys) >= -1e-15)
+
+
+def _masked_cubic(slope, z):
+    """The cubic by its definition: 0 at and below -1, 1 at and above 1,
+    and Horner on z in between."""
+    a0, a1, a2, a3 = solve_cubic_coefficients(slope)
+    with np.errstate(invalid="ignore", over="ignore"):
+        body = ((z * a3 + a2) * z + a1) * z + a0
+    body[z <= -1.0] = 0.0
+    body[z >= 1.0] = 1.0
+    return body
+
+
+def test_cubic_without_masks_equals_the_masked_definition_bitwise():
+    # activation_values runs Horner on clip(z, -1, 1); the plateaus come
+    # out exact for every admissible slope, the smallest and the tie at
+    # 0.25 included, and NaN stays NaN
+    rng = np.random.default_rng(11)
+    edges = np.array([-1.0, 1.0])
+    z = np.concatenate([
+        [np.inf, -np.inf, np.nan, 0.0, -0.0], edges,
+        np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        rng.uniform(-1.5, 1.5, 200), rng.uniform(-1e3, 1e3, 20)])
+    slopes = np.concatenate([
+        [0.0, -0.0, 5e-324, np.nextafter(0.25, 0.0), 0.25, 0.5, 0.75],
+        rng.uniform(0.0, 0.75, 300)])
+    for slope in slopes:
+        act = Activation.cubic(slope)
+        expected = _masked_cubic(slope, z).tobytes()
+        assert activation_values(act, z).tobytes() == expected, slope
+        out, spare = np.empty_like(z), np.empty_like(z)
+        values = activation_values(act, z, out, spare)
+        assert values is spare and spare.tobytes() == expected, slope
+        assert out.tobytes() == np.clip(z, -1.0, 1.0).tobytes()

@@ -69,6 +69,14 @@ def test_uniform_grid_takes_only_a_positive_integer():
     assert type(grid.n) is int and grid.n == 4
 
 
+def test_grid_stores_h_as_the_float_one_over_n():
+    # h is checked by value, so True at n = 1 and a float32 0.25 pass
+    # the check; each is stored as the float 1 / n
+    for n, h in ((1, True), (4, np.float32(0.25)), (4, np.int64(0) + 0.25)):
+        grid = KnotGrid(n, h, KnotGrid.uniform(n).knots)
+        assert type(grid.h) is float and grid.h == 1.0 / n
+
+
 def test_target_samples_shapes():
     grid = KnotGrid.uniform(3)
     one = TargetSamples(grid, np.array([1.0, 2.0, 3.0, 4.0]))

@@ -30,7 +30,7 @@ from pwmlp import (
     save_model,
     verify_equivalence,
 )
-from pwmlp.network import _SIDE, _TILE
+from pwmlp.network import _TILE, _WIDE, _WIDE_UNITS
 
 
 def _network(units, outputs):
@@ -350,24 +350,33 @@ def _reference_grid(rng, net, size):
     return np.take(pool, np.arange(start, start + size), mode="wrap")
 
 
-# (width, grid size) pairs around the tile's sides.  Points 2i and
-# 2i + 1 share a row of a tile, an odd count of 3 or more pads one copy
-# of its last point, and one point has a row of its own.  Neuron tiles
-# are _SIDE wide once a grid has _TILE // _SIDE points or more, when a
-# tile holds _ROW_TILE points, and up to _TILE wide for one point.  The
-# cases at widths 89 to 91, 275 and 8191 to 24581 and at 89, 91 and
-# 8193 points sit at the sides of an 8192-value tile.
-_ROW_TILE = 2 * (_TILE // (2 * _SIDE))
+# (width, grid size) pairs around the sides of both kernels' tiles.
+# Fewer than _WIDE points run in rows of pairs: points 2i and 2i + 1
+# share a row, an odd count of 3 or more pads one copy of its last
+# point, one point has a row of its own, and a neuron tile is up to
+# _TILE // points wide.  _WIDE points or more run the wide kernel, which
+# pads an odd count too: its neuron tiles are _WIDE_UNITS wide once a
+# grid has _BLOCK points or more, and then hold _BLOCK points, a block
+# of _TILE // (width + 1) points on a narrower network.  The cases at
+# widths 89 to 91, 109 to 111, 275, 335 and 8191 to 36869 and at 89,
+# 91, 109 to 112, 8193 and 12287 to 12290 points sit at the sides of
+# earlier tile shapes (square tiles of 8192 and 12288 values, and rows
+# of 110 neurons), which keep their cases.
+_BLOCK = _TILE // (_WIDE_UNITS + 1) // 2 * 2
 _TILE_CASES = sorted(set(
     [(w, g) for w in (1, 89, 90, 91, 275) for g in (1, 2, 89, 91, 8193)]
     + [(w, 1) for w in (8191, 8192, 8193, 24581)] + [(24581, 3)]
-    + [(w, g) for w in (1, _SIDE - 1, _SIDE, _SIDE + 1, 3 * _SIDE + 5)
-       for g in (1, 2, 3, _SIDE - 1, _SIDE + 1, _TILE + 1)]
-    + [(w, g) for w in (_SIDE + 1, 3 * _SIDE + 5)
-       for g in (_ROW_TILE - 1, _ROW_TILE, _ROW_TILE + 1, _ROW_TILE + 2,
-                 _TILE - 1, _TILE, _TILE + 2)]
-    + [(w, 1) for w in (_TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5)]
-    + [(_TILE // 2 + 1, 2), (_TILE // 4 + 1, 3), (3 * _TILE + 5, 3)]
+    + [(w, g) for w in (1, 109, 110, 111, 335)
+       for g in (1, 2, 3, 109, 111, 12289)]
+    + [(w, g) for w in (111, 335)
+       for g in (109, 110, 111, 112, 12287, 12288, 12290)]
+    + [(w, 1) for w in (12287, 12288, 12289, 36869)]
+    + [(6145, 2), (3073, 3), (36869, 3)]
+    + [(w, g) for w in (1, _WIDE_UNITS - 1, _WIDE_UNITS, _WIDE_UNITS + 1,
+                        3 * _WIDE_UNITS + 5, 335)
+       for g in (_WIDE - 1, _WIDE, _WIDE + 1, _BLOCK - 1, _BLOCK,
+                 _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1)]
+    + [(1, _TILE // 2 + 1), (_WIDE_UNITS - 1, _TILE // _WIDE_UNITS + 1)]
 ))
 
 
@@ -379,16 +388,42 @@ def test_forward_grid_equals_neuron_loop_bitwise(width, size):
     assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
 
 
-@pytest.mark.parametrize("size", (1, 2, 3, _ROW_TILE + 1, _ROW_TILE + 2))
+@pytest.mark.parametrize("size", (1, 2, 3, _WIDE - 1, _WIDE, 111, 112,
+                                  _BLOCK + 1))
 @pytest.mark.parametrize("kind", range(len(_KINDS)))
 def test_forward_grid_equals_neuron_loop_for_one_activation(kind, size):
     # tiles of one activation are activated in place; the cubic's lands
     # in a spare buffer
-    width = 3 * _SIDE + 5
+    width = 335
     rng = np.random.default_rng(kind * 1009 + size)
     net = _general_network(rng, width, int(rng.integers(1, 4)),
                            (_KINDS[kind],))
     xs = _reference_grid(rng, net, size)
+    assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
+
+
+@pytest.mark.parametrize("size", (_WIDE, 64, _BLOCK + 1))
+def test_forward_grid_sums_the_compensation_in_neuron_order(size):
+    # A constant unit at each end adds +-2**70 to every output, and the
+    # units between them add taps from 1e-12 to 1e3, each below half an
+    # ulp of the running sum.  So the running sum ends at 0, and the
+    # output is the compensation alone: the sum of the middle terms in
+    # neuron order, whose last bits any other order (pairwise, say)
+    # changes.
+    rng = np.random.default_rng(size)
+    width, q = 300, 2
+    mid = _general_network(rng, width - 2, q, _KINDS[1:3])
+    one = np.zeros(1)
+    taps = (rng.choice((-1.0, 1.0), (width, q))
+            * 10.0 ** rng.uniform(-12.0, 3.0, (width, q)))
+    taps[0], taps[-1] = 2.0 ** 70, -2.0 ** 70
+    net = Network(np.concatenate([one, mid.weight, one]),
+                  np.concatenate([one + 1.0, mid.bias, one + 1.0]),
+                  mid.acts + (Activation("step"),),
+                  np.concatenate([[len(mid.acts)], mid.group,
+                                  [len(mid.acts)]]),
+                  taps, np.zeros(q), "constant", 1)
+    xs = rng.uniform(-2.0, 3.0, size)
     assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
 
 
