@@ -275,7 +275,8 @@ def _forward_wide(net, xs):
     """forward_grid's kernel for _WIDE points or more, as a (q, points)
     array, padded to an even count.  Each (neurons x points) tile holds
     a block of points contiguous along each neuron's row: about _TILE
-    values, at least _WIDE_UNITS neurons and an even number of points."""
+    values, an even number of points, and _WIDE_UNITS neurons or more
+    (the whole width when it is narrower)."""
     w, b, taps = net.weight, net.bias, net.taps
     width, q = taps.shape
     pts = np.append(xs, xs[-1]) if xs.size % 2 else xs
