@@ -125,47 +125,37 @@ class Network:
 # was faster on many points but raised a call's peak memory.
 _TILE = 12288
 
-# Calls of _WIDE points or more run the wide kernel, whose tiles hold
-# the points contiguous along each neuron's row, with at least
-# _WIDE_UNITS neurons to a tile.  Fewer points run in rows of point
-# pairs.  On N = 512 networks (constant, linear-relu, cubic) the rows
-# of pairs were 4-24 % faster at 4 and 6 points, the two kernels alike
-# at 8, and the wide one 7-23 % faster from 12 points on; neuron tiles
-# of 32 rather than 110 made the eval-points pass 5-15 % faster.
-_WIDE = 8
+# forward_grid's tiles are (neurons + 1) x points, the points of a block
+# contiguous along each neuron's row, with at least _WIDE_UNITS neurons
+# to a tile (neuron tiles of 32 rather than 110 made the eval-points
+# pass 5-15 % faster).  A call of fewer than _NARROW points, counted
+# after padding, runs in blocks of at most 2 points, whose products run
+# column by column: on a 6144 x 2 tile, w * x took 53 us in rows 2 wide
+# and 8 us by columns.  At 7 points one block of 8 took 0.11 ms on an
+# N = 512 cubic network against 0.19 ms for four blocks of 2, and was
+# 5-10 % slower at N = 16384.  Blocks of fewer than _REDUCE points sum
+# the compensation by a second cumsum: np.add.reduce down rows 8 points
+# wide took 38 us per tile against the cumsum's 26, the two were alike
+# at 16 and the reduce faster from there.  A lone point needs the
+# cumsum, as numpy would reduce its one contiguous column pairwise.
+_NARROW = 8
 _WIDE_UNITS = 32
-
-# The dtype whose one element is a lane group: the running sums of L
-# interleaved points then take one cumsum over elements of this dtype,
-# which adds each lane's parts separately.
-_LANE_DTYPE = {1: np.float64, 2: np.complex128}
+_REDUCE = 16
 
 
-def _per_lane(values, lanes, buf):
-    """values (n,) repeated for each lane as an (n, lanes) array written
-    into buf; a view of values when there is one lane."""
-    if lanes == 1:
-        return values[:, None]
-    out = buf[:values.size * lanes].reshape(values.size, lanes)
-    for lane in range(lanes):
-        out[:, lane] = values
-    return out
-
-
-def _tile_activations(net, start, z, spare, axis):
-    """Activations of the neurons start, start+1, ... of net, which run
-    along axis of the tile z, written over z or spare (an array like z);
+def _tile_activations(net, start, z, spare):
+    """Activations of the neurons start, start+1, ... of net, one to a
+    row of the tile z, written over z or spare (an array like z);
     returns the one that holds them.  A network of one activation is
     written in place; a mixed one makes one activation_values call per
     activation present in the tile's own slice of net.group."""
     if len(net.acts) == 1:
         return activation_values(net.acts[0], z, z, spare)
-    group = net.group[start:start + z.shape[axis]]
+    group = net.group[start:start + len(z)]
     for g, act in enumerate(net.acts):
         units = np.flatnonzero(group == g)
         if units.size:
-            index = (slice(None),) * axis + (units,)
-            spare[index] = activation_values(act, z[index])
+            spare[units] = activation_values(act, z[units])
     return spare
 
 
@@ -180,114 +170,59 @@ def _two_sum_error(prev, add, total, err):
     np.add(err, add, out=err)
 
 
-def _neumaier_lanes(a, c, total, comp, v, s, e):
-    """Add c[j] * a[:, j] for each neuron j in order to the running
-    Neumaier sums total and their compensation comp, in place.
-
-    a is a (rows, n, L) tile whose lane l of row i is one point, c (n, L)
-    holds each tap once per lane, and total and comp are (rows, L).  v,
-    s and e are flat work buffers of at least rows * (n + 1) * L values;
-    c may lie in s.  The running sums are one sequential cumsum along
-    each row, seeded with total; the exact rounding error of each
-    addition (branch-free TwoSum, equal to Neumaier's branch) is summed
-    by a second cumsum seeded with comp.  Both cumsums run over elements
-    of L lanes (complex128 for two), whose parts add separately, so
-    each point adds in the order of a loop over the neurons and the
-    result is that loop's, bit for bit.
-    """
-    rows, n, lanes = a.shape
-    size = rows * (n + 1) * lanes
-    v, s, e = v[:size], s[:size], e[:size]
-    tile_v, tile_s, tile_e = (x.reshape(rows, n + 1, lanes) for x in (v, s, e))
-    sums_v, sums_s, sums_e = (x.view(_LANE_DTYPE[lanes]).reshape(rows, n + 1)
-                              for x in (v, s, e))
-    tile_v[:, 0] = total
-    np.multiply(a, c, out=tile_v[:, 1:])
-    np.cumsum(sums_v, axis=1, out=sums_s)
-    # TwoSum over the flat buffers, s[i] = s[i-L] + v[i].  The entries
-    # at the start of each row pair two rows; the seed overwrites them.
-    _two_sum_error(s[:-lanes], v[lanes:], s[lanes:], e[lanes:])
-    tile_e[:, 0] = comp
-    np.cumsum(sums_e, axis=1, out=sums_v)
-    total[:] = tile_s[:, -1]
-    comp[:] = tile_v[:, -1]
-
-
-def _forward_pairs(net, xs):
-    """forward_grid's kernel for fewer than _WIDE points, as a (q,
-    points) array, padded to an even count past one point.  Points 2i
-    and 2i + 1 ride in the two lanes of one row (one lane for a single
-    point), and all rows share each (rows x neurons x lanes) tile."""
-    w, b, taps = net.weight, net.bias, net.taps
-    width, q = taps.shape
-    lanes = 1 if xs.size == 1 else 2
-    pts = np.append(xs, xs[-1]) if xs.size % lanes else xs
-    x = pts.reshape(-1, lanes)
-    rows = len(x)
-    cols = min(width, _TILE // pts.size)
-    v, s, z, spare = np.empty((4, rows * (cols + 1) * lanes))
-    total = np.repeat(net.tap_bias, pts.size).reshape(q, rows, lanes)
-    comp = np.zeros_like(total)
-    for j in range(0, width, cols):
-        n = min(cols, width - j)
-        tile_z, tile_spare = (buf[:pts.size * n].reshape(rows, n, lanes)
-                              for buf in (z, spare))
-        for lane in range(lanes):
-            np.multiply(x[:, lane, None], w[j:j + n], out=tile_z[..., lane])
-        np.add(tile_z, _per_lane(b[j:j + n], lanes, s), out=tile_z)
-        a = _tile_activations(net, j, tile_z, tile_spare, 1)
-        e = z if a is tile_spare else spare
-        for k in range(q):
-            c = _per_lane(taps[j:j + n, k], lanes, s)
-            _neumaier_lanes(a, c, total[k], comp[k], v, s, e)
-    total += comp
-    return total.reshape(q, -1)
-
-
-def _neumaier_points(a, c, total, comp, v, s, e):
+def _neumaier_points(a, c, total, comp, v, s, e, order):
     """Add c[j] * a[j] for each neuron j in order to the running Neumaier
     sums total and their compensation comp, in place.
 
-    a is an (n, p) tile whose column i is one point, p even, c (n, 1)
-    holds the taps, and total and comp are (p,).  v, s and e are flat
-    work buffers of at least (n + 1) * p values.  The running sums are
-    one cumsum down the neurons, seeded with total, over the complex128
-    view in which points 2i and 2i + 1 share an element and add
-    separately.  The exact rounding error of each addition (branch-free
-    TwoSum, equal to Neumaier's branch) is summed by np.add.reduce
-    seeded with comp: numpy reduces an axis that is not the innermost
-    one row at a time, vectorized across the points, so it adds in
-    neuron order.  Each point thus adds in the order of a loop over the
-    neurons, and the result is that loop's, bit for bit.
+    a is an (n, p) tile whose column i is one point, p even or 1, c
+    (n, 1) holds the taps, and total and comp are (p,).  v, s and e are
+    flat work buffers of at least (n + 1) * p values; order is the
+    iteration order of the products.  The running sums are one cumsum
+    down the neurons, seeded with total, over the complex128 view in
+    which points 2i and 2i + 1 share an element and add separately (the
+    float64 one for a lone point).  The exact rounding error of each
+    addition (branch-free TwoSum, equal to Neumaier's branch) is summed
+    seeded with comp: by a second such cumsum below _REDUCE points, else
+    by np.add.reduce, which numpy runs over an axis that is not the
+    innermost one a row at a time, vectorized across the points, so it
+    adds in neuron order.  Each point thus adds in the order of a loop
+    over the neurons, and the result is that loop's, bit for bit.
     """
     n, p = a.shape
+    lanes = np.float64 if p == 1 else np.complex128
     v, s, e = (buf[:(n + 1) * p].reshape(n + 1, p) for buf in (v, s, e))
     v[0] = total
-    np.multiply(a, c, out=v[1:])
-    np.cumsum(v.view(np.complex128), axis=0, out=s.view(np.complex128))
+    np.multiply(a, c, out=v[1:], order=order)
+    np.cumsum(v.view(lanes), axis=0, out=s.view(lanes))
     _two_sum_error(s[:-1], v[1:], s[1:], e[1:])
     e[0] = comp
-    np.add.reduce(e, axis=0, out=comp)
+    if p < _REDUCE:
+        np.cumsum(e.view(lanes), axis=0, out=v.view(lanes))
+        comp[:] = v[-1]
+    else:
+        np.add.reduce(e, axis=0, out=comp)
     total[:] = s[-1]
 
 
-def _forward_wide(net, xs):
-    """forward_grid's kernel for _WIDE points or more, as a (q, points)
-    array, padded to an even count.  Each (neurons x points) tile holds
-    a block of points contiguous along each neuron's row: about _TILE
-    values, an even number of points, and _WIDE_UNITS neurons or more
-    (the whole width when it is narrower)."""
+def _forward_tiles(net, xs):
+    """forward_grid's sums as a (q, points) array, an odd count past one
+    point padded with a copy of its last point.  Each (neurons x points)
+    tile holds a block of points: about _TILE values, an even number of
+    points or a lone one, at most 2 below _NARROW points, and
+    _WIDE_UNITS neurons or more (the whole width when it is narrower)."""
     w, b, taps = net.weight, net.bias, net.taps
     width, q = taps.shape
-    pts = np.append(xs, xs[-1]) if xs.size % 2 else xs
-    cols = min(width, max(_TILE // pts.size - 1, _WIDE_UNITS))
-    block = min(pts.size, _TILE // (cols + 1) // 2 * 2)
+    pts = np.append(xs, xs[-1]) if xs.size % 2 and xs.size > 1 else xs
+    span = pts.size if pts.size >= _NARROW else min(pts.size, 2)
+    cols = min(width, max(_TILE // span - 1, _WIDE_UNITS))
+    block = min(span, _TILE // (cols + 1) // 2 * 2) if span > 1 else 1
     v, s, z, spare = np.empty((4, (cols + 1) * block))
     out = np.empty((q, pts.size))
     comp = np.empty((q, block))
     for i in range(0, pts.size, block):
         x = pts[i:i + block]
         p = x.size
+        order = "F" if p <= 2 else "K"
         total = out[:, i:i + p]
         total[:] = net.tap_bias[:, None]
         comp[:, :p] = 0.0
@@ -295,13 +230,13 @@ def _forward_wide(net, xs):
             n = min(cols, width - j)
             tile_z, tile_spare = (buf[:n * p].reshape(n, p)
                                   for buf in (z, spare))
-            np.multiply(w[j:j + n, None], x, out=tile_z)
-            np.add(tile_z, b[j:j + n, None], out=tile_z)
-            a = _tile_activations(net, j, tile_z, tile_spare, 0)
+            np.multiply(w[j:j + n, None], x, out=tile_z, order=order)
+            np.add(tile_z, b[j:j + n, None], out=tile_z, order=order)
+            a = _tile_activations(net, j, tile_z, tile_spare)
             e = z if a is tile_spare else spare
             for k in range(q):
                 _neumaier_points(a, taps[j:j + n, k, None], total[k],
-                                 comp[k, :p], v, s, e)
+                                 comp[k, :p], v, s, e, order)
         total += comp[:, :p]
     return out
 
@@ -314,19 +249,20 @@ def forward_grid(net, grid):
     function as a piecewise cubic for repeated evaluation.
 
     Each output is the tap bias plus the tap-weighted activations added
-    in neuron order with a Neumaier-compensated accumulator.  A call of
-    _WIDE points or more runs over (neurons x points) tiles with the
-    points contiguous: the running sums take one cumsum down the
-    neurons, two points to a complex128 element, and their compensation
-    one in-order np.add.reduce.  Fewer points run over (rows x neurons
-    x lanes) tiles, points 2i and 2i+1 in the two lanes of one row (one
-    lane for a single point).  Either kernel pads an odd count with one
-    copy of its last point, dropped from the result.  Tiles hold about
-    _TILE values; the running sums and their compensation are carried
-    from one neuron tile to the next, and each tile adds in the same
-    order as a loop over its neurons, so the result is that loop's bit
-    for bit.  Memory stays O(_TILE) beyond the parameters, the grid and
-    the result, whatever the grid and the width.
+    in neuron order with a Neumaier-compensated accumulator.  The call
+    runs over (neurons x points) tiles of about _TILE values, each
+    holding a block of points contiguous along each neuron's row: the
+    running sums take one cumsum down the neurons, two points to a
+    complex128 element, and their compensation a second cumsum in
+    narrow blocks or one in-order np.add.reduce in wide ones.  An odd
+    count pads one copy of its last point, dropped from the result; a
+    lone point runs alone, as one float64 lane.  Calls of fewer than
+    _NARROW points run in blocks of at most 2 points.  The running sums
+    and their compensation are carried from one neuron tile to the
+    next, and each tile adds in the same order as a loop over its
+    neurons, so the result is that loop's bit for bit.  Memory stays
+    O(_TILE) beyond the parameters, the grid and the result, whatever
+    the grid and the width.
 
     Row i equals forward_grid(net, grid[i:i + 1]) bit for bit: every
     lane of the vectorized arithmetic is an independent IEEE double
@@ -336,9 +272,8 @@ def forward_grid(net, grid):
     not finite (an overflow of the network's own arithmetic).
     """
     xs = require_points(grid)
-    kernel = _forward_wide if xs.size >= _WIDE else _forward_pairs
     with np.errstate(over="ignore", invalid="ignore"):
-        out = kernel(net, xs)
+        out = _forward_tiles(net, xs)
     return require_finite(xs, out[:, :xs.size].T, "network output")
 
 

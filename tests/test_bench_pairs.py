@@ -77,3 +77,65 @@ def test_summarize_writes_the_summary_without_running(tmp_path):
     assert doc["pr"] == "0" and doc["run_seconds"] > 0
     assert doc["workloads"]["eval-points"]["metrics"]["pass_cpu_s"][
         "pairs_won"] == 4
+
+
+_BOUNDED = [{"name": "pass_cpu_s", "unit": "s", "better": "lower",
+             "bound": 0.25},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+             "bound": 0.1}]
+
+
+def _verdict_lines(parent, change, rss):
+    return [_line("model-io", pair, side, cpu, rss[pair] if side == "change"
+                  else 40.0)
+            for pair, (p, c) in enumerate(zip(parent, change))
+            for side, cpu in (("parent", p), ("change", c))]
+
+
+def test_summary_marks_a_median_worse_than_the_bound():
+    # medians 0.10 -> 0.13 (+30 %, past 0.25) and 40 -> 43.9 MB (+9.75 %,
+    # within 0.1); the parent's quartiles lie within both bounds
+    lines = _verdict_lines([0.10, 0.101, 0.099, 0.1, 0.1],
+                           [0.13, 0.13, 0.13, 0.13, 0.13],
+                           [43.9] * 5)
+    metrics = bench_pairs.summarize(lines, _BOUNDED)["model-io"]["metrics"]
+    assert metrics["pass_cpu_s"]["worse_than_bound"] is True
+    assert metrics["pass_cpu_s"]["unresolved"] is False
+    assert metrics["peak_rss_mb"]["worse_than_bound"] is False
+    assert metrics["peak_rss_mb"]["unresolved"] is False
+
+
+def test_summary_marks_a_wide_parent_unresolved():
+    # the parent's quartiles 0.075-0.15 span more than 0.25 of its 0.1
+    # median; a better change is never worse than the bound
+    lines = _verdict_lines([0.1, 0.07, 0.2, 0.08, 0.1],
+                           [0.05, 0.05, 0.05, 0.05, 0.05],
+                           [40.0] * 5)
+    cpu = bench_pairs.summarize(lines, _BOUNDED)["model-io"]["metrics"][
+        "pass_cpu_s"]
+    assert cpu["parent"]["q1"] == pytest.approx(0.075)
+    assert cpu["parent"]["q3"] == pytest.approx(0.15)
+    assert cpu["unresolved"] is True
+    assert cpu["worse_than_bound"] is False
+
+
+def test_summary_without_a_bound_gives_no_verdict():
+    cpu = bench_pairs.summarize(_lines(), _METRICS)["eval-points"][
+        "metrics"]["pass_cpu_s"]
+    assert cpu["worse_than_bound"] is None and cpu["unresolved"] is None
+
+
+def test_a_rerun_pair_counts_only_its_last_lines():
+    # a --lines file that holds pair 0 twice: a first parent run with 3
+    # failed operations and a change run that errored, then both again
+    lines = [_line("prove", 0, "parent", 0.3, 44.0, failed=3),
+             {"workload": "prove", "pair": 0, "seed": 101,
+              "side": "change", "result": {"error": "exit 1: boom"}},
+             _line("prove", 0, "parent", 0.2, 44.0),
+             _line("prove", 0, "change", 0.19, 44.0, failed=1)]
+    prove = bench_pairs.summarize(lines, _BOUNDED)["prove"]
+    assert prove["attempted"] == {"parent": 200, "change": 200}
+    assert prove["failed"] == {"parent": 0, "change": 1}
+    assert prove["failed_runs"] == {"parent": 0, "change": 0}
+    assert prove["pairs"] == 1
+    assert prove["metrics"]["pass_cpu_s"]["parent"]["runs"] == [0.2]

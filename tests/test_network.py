@@ -30,7 +30,7 @@ from pwmlp import (
     save_model,
     verify_equivalence,
 )
-from pwmlp.network import _TILE, _WIDE, _WIDE_UNITS
+from pwmlp.network import _NARROW as _WIDE, _REDUCE, _TILE, _WIDE_UNITS
 
 
 def _network(units, outputs):
@@ -85,8 +85,9 @@ def _forward_grid_loop(net, grid):
 
 
 def test_forward_delegates_to_forward_grid_bitwise():
-    # a point's row does not depend on its batch: one point alone takes
-    # one lane, an even batch two, and an odd batch pads its last pair
+    # a point's row does not depend on its batch: one point alone runs as
+    # one float64 lane, a batch of 3 pads a copy of its last point and
+    # runs in blocks of 2 points, and the others run in wide blocks
     rng = np.random.default_rng(19)
     net = _random_network(rng)
     xs = rng.uniform(0.0, 1.0, 65)
@@ -350,18 +351,18 @@ def _reference_grid(rng, net, size):
     return np.take(pool, np.arange(start, start + size), mode="wrap")
 
 
-# (width, grid size) pairs around the sides of both kernels' tiles.
-# Fewer than _WIDE points run in rows of pairs: points 2i and 2i + 1
-# share a row, an odd count of 3 or more pads one copy of its last
-# point, one point has a row of its own, and a neuron tile is up to
-# _TILE // points wide.  _WIDE points or more run the wide kernel, which
-# pads an odd count too: its neuron tiles are _WIDE_UNITS wide once a
-# grid has _BLOCK points or more, and then hold _BLOCK points, a block
-# of _TILE // (width + 1) points on a narrower network.  The cases at
-# widths 89 to 91, 109 to 111, 275, 335 and 8191 to 36869 and at 89,
-# 91, 109 to 112, 8193 and 12287 to 12290 points sit at the sides of
-# earlier tile shapes (square tiles of 8192 and 12288 values, and rows
-# of 110 neurons), which keep their cases.
+# (width, grid size) pairs around the sides of forward_grid's tiles.
+# An odd count past one pads one copy of its last point, and one point
+# runs alone, in neuron tiles up to _TILE - 1 wide.  Fewer than _WIDE
+# points (network._NARROW, counted after the padding) run in blocks of 2
+# points, in neuron tiles up to _TILE // 2 - 1 wide.  From _WIDE points
+# on, the neuron tiles are _WIDE_UNITS wide once a grid has _BLOCK
+# points or more, and then hold _BLOCK points, a block of
+# _TILE // (width + 1) points on a narrower network.  The cases at
+# widths 89 to 91, 109 to 111, 275, 335, 3073 and 6145 to 36869 and
+# at 89, 91, 109 to 112, 8193 and 12287 to 12290 points sit at the
+# sides of earlier tile shapes (square tiles of 8192 and 12288 values,
+# rows of 110 neurons, and rows of point pairs), which keep their cases.
 _BLOCK = _TILE // (_WIDE_UNITS + 1) // 2 * 2
 _TILE_CASES = sorted(set(
     [(w, g) for w in (1, 89, 90, 91, 275) for g in (1, 2, 89, 91, 8193)]
@@ -402,7 +403,8 @@ def test_forward_grid_equals_neuron_loop_for_one_activation(kind, size):
     assert forward_grid(net, xs).tobytes() == _forward_grid_loop(net, xs).tobytes()
 
 
-@pytest.mark.parametrize("size", (_WIDE, 64, _BLOCK + 1))
+@pytest.mark.parametrize("size", (1, 2, 3, 5, _WIDE, _REDUCE - 2,
+                                  _REDUCE - 1, _REDUCE, 64, _BLOCK + 1))
 def test_forward_grid_sums_the_compensation_in_neuron_order(size):
     # A constant unit at each end adds +-2**70 to every output, and the
     # units between them add taps from 1e-12 to 1e3, each below half an
@@ -439,10 +441,10 @@ def test_forward_grid_equals_neuron_loop_for_every_method(method, n):
 
 
 def test_forward_grid_memory_stays_within_tiles():
-    # (method, N, points, bound in KiB): eval-points' sizes, one point,
-    # and model-io's 5 points at width 65540, where the whole (points x
-    # neurons) matrix would be 2.6 MB and a list of one activation's
-    # members 0.5 MB
+    # (method, N, points, bound in KiB): eval-points' sizes, one, two and
+    # five points, and model-io's 5 points at width 65540, where the
+    # whole (points x neurons) matrix would be 2.6 MB and a list of one
+    # activation's members 0.5 MB
     rng = np.random.default_rng(43)
     for method, n, size, bound in (
         ("linear-relu", 512, 255, 540),
@@ -450,6 +452,8 @@ def test_forward_grid_memory_stays_within_tiles():
         ("cubic", 512, 256, 540),
         ("constant", 512, 256, 540),
         ("linear-relu", 512, 1, 100),
+        ("linear-relu", 512, 2, 150),
+        ("linear-relu", 512, 5, 540),
         ("linear-relu", 16384, 5, 964),
     ):
         grid = KnotGrid.uniform(n)

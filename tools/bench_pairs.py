@@ -13,8 +13,8 @@ pairs and the change first in odd ones.  Each run's result line goes
 to the --lines file (BENCH_<pr>.jsonl by default) as one JSON line,
 and the summary is written to
 BENCH_<pr>.json: per workload and end-to-end metric, the medians and
-quartiles of both sides, the pairs the change won, and the failed
-operations and runs.  --summarize reads an existing --lines file and
+quartiles of both sides, the pairs the change won, the verdict against
+the metric's bound, and the failed operations and runs.  --summarize reads an existing --lines file and
 writes the summary without running anything.
 """
 
@@ -109,11 +109,20 @@ def summarize(lines, metrics):
     n=4), the change's median relative to the parent's, the pairs in
     which the change was better (by the metric's "better"), and whether
     the medians differ by more than the parent's interquartile range.
-    A run that failed counts in "failed_runs", and its operations in
+    Against the metric's "bound", a relative change: "worse_than_bound"
+    when the change's median is worse than the parent's by more than
+    bound, and "unresolved" when the parent's interquartile range
+    exceeds bound times its median (both None for a metric without a
+    bound).  When a (workload, side, pair) has several lines, as a
+    --lines file appended to twice does, only the last one counts.  A
+    run that failed counts in "failed_runs", and its operations in
     neither "failed" nor the metrics.
     """
-    summary = {}
+    last = {}
     for line in lines:
+        last[line["workload"], line["side"], line["pair"]] = line
+    summary = {}
+    for line in last.values():
         entry = summary.setdefault(line["workload"], {
             "runs": {side: {} for side in SIDES},
             "failed_runs": {side: 0 for side in SIDES},
@@ -145,6 +154,12 @@ def summarize(lines, metrics):
             q = {side: _quartiles(values[side]) for side in SIDES}
             gap = abs(q["change"][1] - q["parent"][1])
             better = (q["change"][1] < q["parent"][1]) == lower
+            iqr = q["parent"][2] - q["parent"][0]
+            bound = metric.get("bound")
+            worse = unresolved = None
+            if bound is not None:
+                worse = not better and gap > bound * abs(q["parent"][1])
+                unresolved = iqr > bound * abs(q["parent"][1])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -154,8 +169,9 @@ def summarize(lines, metrics):
                            "q3": q["change"][2], "runs": values["change"]},
                 "relative": q["change"][1] / q["parent"][1] - 1.0,
                 "pairs_won": won,
-                "gain_exceeds_parent_iqr": (
-                    better and gap > q["parent"][2] - q["parent"][0]),
+                "gain_exceeds_parent_iqr": better and gap > iqr,
+                "worse_than_bound": worse,
+                "unresolved": unresolved,
             }
         out[workload] = entry
     return out
