@@ -128,17 +128,13 @@ _TILE = 12288
 # forward_grid's tiles are (neurons + 1) x points, the points of a block
 # contiguous along each neuron's row, with at least _WIDE_UNITS neurons
 # to a tile (neuron tiles of 32 rather than 110 made the eval-points
-# pass 5-15 % faster).  A call of fewer than _NARROW points, counted
-# after padding, runs in blocks of at most 2 points, whose products run
-# column by column: on a 6144 x 2 tile, w * x took 53 us in rows 2 wide
-# and 8 us by columns.  At 7 points one block of 8 took 0.11 ms on an
-# N = 512 cubic network against 0.19 ms for four blocks of 2, and was
-# 5-10 % slower at N = 16384.  Blocks of fewer than _REDUCE points sum
-# the compensation by a second cumsum: np.add.reduce down rows 8 points
-# wide took 38 us per tile against the cumsum's 26, the two were alike
-# at 16 and the reduce faster from there.  A lone point needs the
-# cumsum, as numpy would reduce its one contiguous column pairwise.
-_NARROW = 8
+# pass 5-15 % faster).  A block of 2 points runs its products column by
+# column: on a 6144 x 2 tile, w * x took 53 us in rows 2 wide and 8 us
+# by columns.  Blocks of fewer than _REDUCE points sum the compensation
+# by a second cumsum: np.add.reduce down rows 8 points wide took 38 us
+# per tile against the cumsum's 26, the two were alike at 16 and the
+# reduce faster from there.  A lone point needs the cumsum, as numpy
+# would reduce its one contiguous column pairwise.
 _WIDE_UNITS = 32
 _REDUCE = 16
 
@@ -208,21 +204,20 @@ def _forward_tiles(net, xs):
     """forward_grid's sums as a (q, points) array, an odd count past one
     point padded with a copy of its last point.  Each (neurons x points)
     tile holds a block of points: about _TILE values, an even number of
-    points or a lone one, at most 2 below _NARROW points, and
-    _WIDE_UNITS neurons or more (the whole width when it is narrower)."""
+    points or a lone one, and _WIDE_UNITS neurons or more (the whole
+    width when it is narrower)."""
     w, b, taps = net.weight, net.bias, net.taps
     width, q = taps.shape
     pts = np.append(xs, xs[-1]) if xs.size % 2 and xs.size > 1 else xs
-    span = pts.size if pts.size >= _NARROW else min(pts.size, 2)
-    cols = min(width, max(_TILE // span - 1, _WIDE_UNITS))
-    block = min(span, _TILE // (cols + 1) // 2 * 2) if span > 1 else 1
+    cols = min(width, max(_TILE // pts.size - 1, _WIDE_UNITS))
+    block = min(pts.size, _TILE // (cols + 1) // 2 * 2) if pts.size > 1 else 1
     v, s, z, spare = np.empty((4, (cols + 1) * block))
     out = np.empty((q, pts.size))
     comp = np.empty((q, block))
     for i in range(0, pts.size, block):
         x = pts[i:i + block]
         p = x.size
-        order = "F" if p <= 2 else "K"
+        order = "F" if p == 2 else "K"
         total = out[:, i:i + p]
         total[:] = net.tap_bias[:, None]
         comp[:, :p] = 0.0
@@ -256,8 +251,7 @@ def forward_grid(net, grid):
     complex128 element, and their compensation a second cumsum in
     narrow blocks or one in-order np.add.reduce in wide ones.  An odd
     count pads one copy of its last point, dropped from the result; a
-    lone point runs alone, as one float64 lane.  Calls of fewer than
-    _NARROW points run in blocks of at most 2 points.  The running sums
+    lone point runs alone, as one float64 lane.  The running sums
     and their compensation are carried from one neuron tile to the
     next, and each tile adds in the same order as a loop over its
     neurons, so the result is that loop's bit for bit.  Memory stays

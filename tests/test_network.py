@@ -30,7 +30,7 @@ from pwmlp import (
     save_model,
     verify_equivalence,
 )
-from pwmlp.network import _NARROW as _WIDE, _REDUCE, _TILE, _WIDE_UNITS
+from pwmlp.network import _REDUCE, _TILE, _WIDE_UNITS
 
 
 def _network(units, outputs):
@@ -86,8 +86,7 @@ def _forward_grid_loop(net, grid):
 
 def test_forward_delegates_to_forward_grid_bitwise():
     # a point's row does not depend on its batch: one point alone runs as
-    # one float64 lane, a batch of 3 pads a copy of its last point and
-    # runs in blocks of 2 points, and the others run in wide blocks
+    # one float64 lane, and an odd batch pads a copy of its last point
     rng = np.random.default_rng(19)
     net = _random_network(rng)
     xs = rng.uniform(0.0, 1.0, 65)
@@ -353,16 +352,16 @@ def _reference_grid(rng, net, size):
 
 # (width, grid size) pairs around the sides of forward_grid's tiles.
 # An odd count past one pads one copy of its last point, and one point
-# runs alone, in neuron tiles up to _TILE - 1 wide.  Fewer than _WIDE
-# points (network._NARROW, counted after the padding) run in blocks of 2
-# points, in neuron tiles up to _TILE // 2 - 1 wide.  From _WIDE points
-# on, the neuron tiles are _WIDE_UNITS wide once a grid has _BLOCK
-# points or more, and then hold _BLOCK points, a block of
-# _TILE // (width + 1) points on a narrower network.  The cases at
-# widths 89 to 91, 109 to 111, 275, 335, 3073 and 6145 to 36869 and
-# at 89, 91, 109 to 112, 8193 and 12287 to 12290 points sit at the
-# sides of earlier tile shapes (square tiles of 8192 and 12288 values,
-# rows of 110 neurons, and rows of point pairs), which keep their cases.
+# runs alone.  A call of p points, counted after the padding, has
+# neuron tiles up to _TILE // p - 1 wide, and they are _WIDE_UNITS wide
+# once a grid has _BLOCK points or more, and then hold _BLOCK points, a
+# block of _TILE // (width + 1) points on a narrower network.  The
+# cases at _WIDE - 1 to _WIDE + 1 points, at widths 89 to 91, 109 to
+# 111, 275, 335 and 8191 to 36869 and at 89, 91, 109 to 112, 8193 and
+# 12287 to 12290 points sit at the sides of earlier tile shapes (square
+# tiles of 8192 and 12288 values, rows of 110 neurons, and rows of point
+# pairs below _WIDE points), which keep their cases.
+_WIDE = 8
 _BLOCK = _TILE // (_WIDE_UNITS + 1) // 2 * 2
 _TILE_CASES = sorted(set(
     [(w, g) for w in (1, 89, 90, 91, 275) for g in (1, 2, 89, 91, 8193)]
@@ -378,6 +377,9 @@ _TILE_CASES = sorted(set(
        for g in (_WIDE - 1, _WIDE, _WIDE + 1, _BLOCK - 1, _BLOCK,
                  _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1)]
     + [(1, _TILE // 2 + 1), (_WIDE_UNITS - 1, _TILE // _WIDE_UNITS + 1)]
+    + [(w, g) for w in (1, 335, _TILE // 6 + 1, _TILE // 2 + 1)
+       for g in (5, 6)]
+    + [(_TILE // 8 + 1, 7)]
 ))
 
 

@@ -112,8 +112,8 @@ def summarize(lines, metrics):
     Against the metric's "bound", a relative change: "worse_than_bound"
     when the change's median is worse than the parent's by more than
     bound, and "unresolved" when the parent's interquartile range
-    exceeds bound times its median (both None for a metric without a
-    bound).  When a (workload, side, pair) has several lines, as a
+    exceeds bound times its median, unless every change run is better
+    than every parent run (both None for a metric without a bound).  When a (workload, side, pair) has several lines, as a
     --lines file appended to twice does, only the last one counts.  A
     run that failed counts in "failed_runs", and its operations in
     neither "failed" nor the metrics.
@@ -159,7 +159,10 @@ def summarize(lines, metrics):
             worse = unresolved = None
             if bound is not None:
                 worse = not better and gap > bound * abs(q["parent"][1])
-                unresolved = iqr > bound * abs(q["parent"][1])
+                apart = (max(values["change"]) < min(values["parent"])
+                         if lower else
+                         min(values["change"]) > max(values["parent"]))
+                unresolved = iqr > bound * abs(q["parent"][1]) and not apart
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
