@@ -557,20 +557,8 @@ def _number(value, path):
 
 
 def _numbers(values, path, element="%s[%d]"):
-    """A list of finite JSON numbers as a float64 array.
-
-    One type scan, one conversion and one finiteness test; only when
-    one of them fails are the elements walked, naming element % (path, i).
-    """
+    """A JSON list of finite numbers, each element % (path, i), as float64."""
     _require(isinstance(values, list), path, "expected a list of numbers")
-    if set(map(type, values)) <= {int, float}:
-        try:
-            arr = np.array(values, dtype=np.float64)
-        except OverflowError:
-            pass
-        else:
-            if np.isfinite(arr).all():
-                return arr
     return np.array([_number(v, element % (path, i))
                      for i, v in enumerate(values)], dtype=np.float64)
 
@@ -600,10 +588,9 @@ def _objects(doc, key, what):
     items = doc.get(key)
     _require(isinstance(items, list) and len(items) >= 1, key,
              "model needs a nonempty %s list" % what)
-    if not set(map(type, items)) <= {dict}:
-        for i, item in enumerate(items):
-            _require(isinstance(item, dict), "%s[%d]" % (key, i),
-                     "%s must be an object" % what)
+    for i, item in enumerate(items):
+        _require(isinstance(item, dict), "%s[%d]" % (key, i),
+                 "%s must be an object" % what)
     return items
 
 
@@ -684,11 +671,9 @@ def _index_list(values, path, m, size):
     """Format 2's group: a JSON list of m indices into size activations."""
     _require(isinstance(values, list), path, "expected a list of indices")
     _require_length(values, m, "neuron", path)
-    if not (set(map(type, values)) <= {int}
-            and 0 <= min(values) and max(values) < size):
-        for i, g in enumerate(values):
-            _require(type(g) is int and 0 <= g < size, "%s[%d]" % (path, i),
-                     "expected an index into acts, got %r" % (g,))
+    for i, g in enumerate(values):
+        _require(type(g) is int and 0 <= g < size, "%s[%d]" % (path, i),
+                 "expected an index into acts, got %r" % (g,))
     return values
 
 

@@ -11,8 +11,8 @@ eigenbasis (O(N log N), refined to about eps * |g|), which shares no
 solver with the construction side's closed form; only the refinement
 of both, with its residual and its power-of-two scaling, is common.  A
 brute-force dense LU of the same system lives here too, as a
-cross-check at small sizes, and a moment audit of the polynomial degree
-each kernel's shifts reproduce.
+cross-check at small sizes, and an exact moment audit of the polynomial
+degree each kernel's shifts reproduce.
 """
 
 from dataclasses import dataclass
@@ -38,11 +38,6 @@ _SUPPORT_RADIUS = {BOX: 1, TRIANGLE: 1, CUBIC_BUMP: 2}
 # enough to repair near-collinear boundary kernels, small enough not to
 # bias a well-posed fit beyond ~1e-12.
 RIDGE = 1e-12
-
-# Sample points per unit of u and relative spread tolerance for the
-# moment sums in reproduction_degree.
-MOMENT_POINTS = 64
-MOMENT_RTOL = 1e-12
 
 # Steps of iterative refinement after the first solve of the bump
 # coupling system, in the oracle and in the builder alike.
@@ -98,36 +93,36 @@ def reproduction_degree(kernel, stride=1):
     M_k(u) = sum_j (stride*j - u)^k K(u - stride*j), k = 0..d, must be
     constant in u, and a space of such shifts then converges at order
     d + 1 and no faster, whatever the coefficients.  M_k has period
-    ``stride`` and is a polynomial of degree <= k + 3 between integers,
-    so 64 midpoint samples per unit of u see any variation; M_k counts
-    as constant when its spread is within MOMENT_RTOL of the largest
-    sum of absolute terms.  A stride above twice the support radius
-    leaves points that no shift covers, where M_0 is 0, so the answer
-    is -1 without sampling.
+    ``stride`` and degree <= k + 3 <= 6 on each unit interval, so it is
+    constant exactly when its Fraction values at i + m/8, m = 1..7,
+    agree over every [i, i + 1) of the period: exact, so no tolerance
+    decides.  A stride above twice the support radius leaves points
+    that no shift covers, so the answer there is -1.
     """
+    from fractions import Fraction  # not on import: it loads decimal, 0.4 MB
     stride = require_int(stride, 1, "kernel stride must be a positive integer")
-    if stride > 2 * _SUPPORT_RADIUS[kernel.kind]:
-        return -1
-    return _sampled_degree(kernel, stride)
-
-
-def _sampled_degree(kernel, stride):
-    """reproduction_degree by sampling the moment sums over one period,
-    at a cost of O(stride)."""
     radius = _SUPPORT_RADIUS[kernel.kind]
-    u = (np.arange(MOMENT_POINTS * stride) + 0.5) / MOMENT_POINTS
-    # every j with |u - stride*j| <= radius for u in [0, stride)
-    offsets = stride * np.arange(-radius, radius + 2)[None, :] - u[:, None]
-    weights = kernel_values(kernel, -offsets)
-    degree = -1
+    if stride > 2 * radius:
+        return -1
+    # at u = i + m/8, every j with |u - stride*j| <= radius
+    rows = [[(stride * j - u, _exact_kernel(kernel, u - stride * j))
+             for j in range(-radius, radius + 2)]
+            for u in (Fraction(m, 8) for m in range(1, 8 * stride) if m % 8)]
     for k in range(4):
-        terms = offsets**k * weights
-        sums = terms.sum(axis=1)
-        scale = float(np.abs(terms).sum(axis=1).max())
-        if np.ptp(sums) > MOMENT_RTOL * scale:
-            break
-        degree = k
-    return degree
+        if len({sum(d**k * w for d, w in row) for row in rows}) > 1:
+            return k - 1
+    return 3
+
+
+def _exact_kernel(kernel, u):
+    """kernel_values at one Fraction u; u.from_float takes floats exactly."""
+    if kernel.kind == BOX:
+        return int(0 <= u < 1)
+    if kernel.kind == TRIANGLE:
+        return max(0, 1 - abs(u))
+    a0, a1, a2, a3 = map(u.from_float, Activation.cubic(kernel.slope).cubic_coeffs)
+    return sum(((a3 * t + a2) * t + a1) * t + a0
+               for t in (min(max(v, -1), 1) for v in (u + 1, 1 - u))) - 1
 
 
 @dataclass(frozen=True)

@@ -141,3 +141,31 @@ def test_a_rerun_pair_counts_only_its_last_lines():
     assert prove["failed_runs"] == {"parent": 0, "change": 0}
     assert prove["pairs"] == 1
     assert prove["metrics"]["pass_cpu_s"]["parent"]["runs"] == [0.2]
+
+
+def _gain_lines(change, failed_pair=None):
+    parent = [0.10, 0.11, 0.12, 0.10, 0.11, 0.12, 0.10, 0.11, 0.12, 0.11]
+    return [_line("eval-points", pair, side, cpu, 40.0,
+                  failed=side == "change" and pair == failed_pair)
+            for pair, (p, c) in enumerate(zip(parent, change))
+            for side, cpu in (("parent", p), ("change", c))]
+
+
+@pytest.mark.parametrize("change, failed_pair, gain", [
+    ([0.05] * 9 + [0.13], None, True),        # 9 of 10 pairs won
+    ([0.05] * 8 + [0.13, 0.13], None, False),  # 8 of 10
+    ([0.05] * 9 + [0.13], 3, False),           # a larger failed share
+])
+def test_a_gain_needs_nine_in_ten_pairs_and_no_more_failures(
+        change, failed_pair, gain):
+    cpu = bench_pairs.summarize(_gain_lines(change, failed_pair), _BOUNDED)[
+        "eval-points"]["metrics"]["pass_cpu_s"]
+    # every case clears the parent's quartiles, 0.1-0.12, by far
+    assert cpu["gain_exceeds_parent_iqr"] is True
+    assert cpu["gain"] is gain
+
+
+def test_a_worse_median_is_no_gain():
+    rss = bench_pairs.summarize(_lines(), _METRICS)["eval-points"][
+        "metrics"]["peak_rss_mb"]
+    assert rss["relative"] > 0 and rss["gain"] is False

@@ -86,14 +86,27 @@ def test_reproduction_degree_of_bump(stride):
 
 def test_reproduction_degree_needs_no_samples_beyond_the_support():
     # a stride above twice the support radius leaves gaps, so no shift
-    # sum is constant; sampling 10**12 would need 64 * stride values
+    # sum is constant; evaluating at 10**12 would need 7 * stride points
     assert reproduction_degree(KernelKind("triangle"), 10**12) == -1
-    for kernel in (KernelKind("box"), KernelKind("triangle"),
-                   KernelKind.cubic_bump()):
-        radius = oracle._SUPPORT_RADIUS[kernel.kind]
-        for stride in range(1, 2 * radius + 4):
-            assert (reproduction_degree(kernel, stride)
-                    == oracle._sampled_degree(kernel, stride)), (kernel, stride)
+
+
+_DEGREES = [(KernelKind("box"), [0, -1, -1, -1, -1]),
+            (KernelKind("triangle"), [1, -1, -1, -1, -1]),
+            (KernelKind.cubic_bump(0.5), [1, 1, -1, -1, -1])]
+_DEGREES += [(KernelKind.cubic_bump(float(s)), [0, 0, -1, -1, -1])
+             for s in [0.0, 0.25, 0.75,
+                       *np.random.default_rng(28).uniform(0.0, 0.75, 8),
+                       np.nextafter(0.5, np.inf), np.nextafter(0.5, -np.inf)]]
+
+
+@pytest.mark.parametrize("kernel, degrees", _DEGREES,
+                         ids=["%s-%r" % (k.kind, k.slope) for k, _ in _DEGREES])
+def test_reproduction_degree_is_exact_at_strides_1_to_5(kernel, degrees):
+    # strides 1-5 reach 2 * radius + 1 for every kernel.  Only slope
+    # 0.5 zeroes the bump's cubic term, so one ulp either side of it
+    # the first moment sum already varies (by 4e-17 at stride 1), and
+    # the degree is 0 there, whatever a tolerance would have said
+    assert [reproduction_degree(kernel, s) for s in range(1, 6)] == degrees
 
 
 def test_reproduction_degree_validation():

@@ -14,12 +14,14 @@ to the --lines file (BENCH_<pr>.jsonl by default) as one JSON line,
 and the summary is written to
 BENCH_<pr>.json: per workload and end-to-end metric, the medians and
 quartiles of both sides, the pairs the change won, the verdict against
-the metric's bound, and the failed operations and runs.  --summarize reads an existing --lines file and
+the metric's bound, whether a claimed gain would hold, and the failed
+operations and runs.  --summarize reads an existing --lines file and
 writes the summary without running anything.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -113,10 +115,15 @@ def summarize(lines, metrics):
     when the change's median is worse than the parent's by more than
     bound, and "unresolved" when the parent's interquartile range
     exceeds bound times its median, unless every change run is better
-    than every parent run (both None for a metric without a bound).  When a (workload, side, pair) has several lines, as a
-    --lines file appended to twice does, only the last one counts.  A
-    run that failed counts in "failed_runs", and its operations in
-    neither "failed" nor the metrics.
+    than every parent run (both None for a metric without a bound).
+    "gain" is the rule a claimed gain is held to: the change is better,
+    won at least ceil(0.9 * pairs) pairs, its median gains more than
+    the parent's interquartile range, and its share of failed
+    operations on the workload is no larger than the parent's.  When a
+    (workload, side, pair) has several lines, as a --lines file
+    appended to twice does, only the last one counts.  A run that
+    failed counts in "failed_runs", and its operations in neither
+    "failed" nor the metrics.
     """
     last = {}
     for line in lines:
@@ -142,6 +149,8 @@ def summarize(lines, metrics):
         both = sorted(set(runs["parent"]) & set(runs["change"]))
         entry["pairs"] = len(both)
         entry["metrics"] = {}
+        share = {side: entry["failed"][side] / max(entry["attempted"][side], 1)
+                 for side in SIDES}
         for metric in metrics:
             if not both:
                 break
@@ -155,6 +164,7 @@ def summarize(lines, metrics):
             gap = abs(q["change"][1] - q["parent"][1])
             better = (q["change"][1] < q["parent"][1]) == lower
             iqr = q["parent"][2] - q["parent"][0]
+            clears_iqr = better and gap > iqr
             bound = metric.get("bound")
             worse = unresolved = None
             if bound is not None:
@@ -172,9 +182,11 @@ def summarize(lines, metrics):
                            "q3": q["change"][2], "runs": values["change"]},
                 "relative": q["change"][1] / q["parent"][1] - 1.0,
                 "pairs_won": won,
-                "gain_exceeds_parent_iqr": better and gap > iqr,
+                "gain_exceeds_parent_iqr": clears_iqr,
                 "worse_than_bound": worse,
                 "unresolved": unresolved,
+                "gain": (clears_iqr and won >= math.ceil(0.9 * len(both))
+                         and share["change"] <= share["parent"]),
             }
         out[workload] = entry
     return out
